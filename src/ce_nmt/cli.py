@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,58 +36,84 @@ EXIT_COLLAPSE = 3
 EXIT_DIVERGENCE = 4
 
 
+def _opt(default, help: str, key: str | None = None, choices: tuple[str, ...] | None = None):
+    """A run-config field: its default, its ``--help`` text, its config-file
+    key (the attribute name unless given) and its allowed values."""
+    return field(default=default, metadata={"help": help, "key": key, "choices": choices})
+
+
 @dataclass
 class RunConfig:
-    source: str | None = None
-    target: str | None = None
-    embeddings: str | None = None
-    checkpoint: str | None = None
-    baseline_checkpoint: str | None = None
-    mode: str | None = None
-    out: str = "run"
-    seed: int = 0
-    depth: int = 2
-    dim: int = 64
-    heads: int = 4
-    ff_dim: int = 0
-    emb_dim: int = 64
-    proj_dim: int = 32
-    pooling: str = "mean"
-    dropout: float = 0.0
-    max_len: int = 32
-    min_freq: int = 1
-    max_vocab: int = 50_000
-    batch_size: int = 64
-    steps: int = 1000
-    finetune_steps: int = -1          # -1 means "same as steps"
-    lr: float = 1e-3
-    warmup: int = 400
-    lam: float = 5e-3
-    epochs: int = 50
-    skip_pretrain: bool = False
-    reuse_decoder: bool = False
-    precision: str = "float64"
+    """The one table of run options: ``--<key>`` flags and config-file keys
+    are both generated from these fields."""
+
+    source: str | None = _opt(None, "source-side corpus file")
+    target: str | None = _opt(None, "target-side corpus file")
+    embeddings: str | None = _opt(None, "pre-trained embedding file for the encoder")
+    checkpoint: str | None = _opt(None, "input checkpoint path")
+    baseline_checkpoint: str | None = _opt(None, "pre-enhancement checkpoint for classify mode")
+    mode: str | None = _opt(None, "eval mode",
+                            choices=("bleu", "classify", "centroid", "diagnostics"))
+    out: str = _opt("run", "output directory")
+    seed: int = _opt(0, "global random seed")
+    depth: int = _opt(2, "encoder/decoder layers")
+    dim: int = _opt(64, "model width")
+    heads: int = _opt(4, "attention heads")
+    ff_dim: int = _opt(0, "feed-forward width (0 = 4*dim)")
+    emb_dim: int = _opt(64, "token embedding width")
+    proj_dim: int = _opt(32, "projection output width")
+    pooling: str = _opt("mean", "sentence pooling kind", choices=("mean", "max"))
+    dropout: float = _opt(0.0, "dropout rate")
+    max_len: int = _opt(32, "max encoded sentence length")
+    min_freq: int = _opt(1, "vocabulary frequency cutoff")
+    max_vocab: int = _opt(50_000, "vocabulary size cap")
+    batch_size: int = _opt(64, "training batch size")
+    steps: int = _opt(1000, "translation training steps")
+    finetune_steps: int = _opt(-1, "fine-tuning steps (-1 = same as steps)")
+    lr: float = _opt(1e-3, "peak learning rate")
+    warmup: int = _opt(400, "linear warmup steps")
+    # "lambda" is a Python keyword
+    lam: float = _opt(5e-3, "redundancy term weight", key="lambda")
+    epochs: int = _opt(50, "context-enhancement epochs")
+    skip_pretrain: bool = _opt(False, "start enhancement from a fresh encoder")
+    reuse_decoder: bool = _opt(False, "fine-tune with the carried decoder instead of a fresh one")
+    precision: str = _opt("float64", "numeric precision (float64 is the reproducibility mode)",
+                          choices=("float32", "float64"))
 
     def dtype(self):
-        if self.precision not in ("float32", "float64"):
-            raise ConfigError(f"precision must be float32 or float64, got {self.precision!r}")
         return np.float32 if self.precision == "float32" else np.float64
 
 
-# config-file key <-> dataclass attribute ("lambda" is a Python keyword)
-_KEY_TO_ATTR = {f.name: f.name for f in dataclasses.fields(RunConfig)}
-_KEY_TO_ATTR["lambda"] = "lam"
-del _KEY_TO_ATTR["lam"]
-_BOOL_KEYS = {"skip_pretrain", "reuse_decoder"}
+# config-file key -> field, in declaration order
+_FIELDS = {f.metadata["key"] or f.name: f for f in dataclasses.fields(RunConfig)}
+_KEY_TO_ATTR = {key: f.name for key, f in _FIELDS.items()}
 
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
 
 
+def _convert(f: dataclasses.Field, text: str):
+    """Parse a flag or config-file value for field ``f``: the type of its
+    default (str when that is None), booleans by word, and its choices.
+    Raises ValueError on bad input."""
+    kind = str if f.default is None else type(f.default)
+    if kind is bool:
+        if text.lower() not in _TRUE | _FALSE:
+            raise ValueError(f"expected a boolean, got {text!r}")
+        return text.lower() in _TRUE
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError(f"invalid {kind.__name__} value: {text!r}") from None
+    choices = f.metadata["choices"]
+    if choices and value not in choices:
+        raise ValueError(f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+    return value
+
+
 def parse_config_file(path) -> dict[str, object]:
     """Flat ``key = value`` lines with # comments; unknown keys rejected."""
     values: dict[str, object] = {}
-    defaults = RunConfig()
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -96,76 +122,38 @@ def parse_config_file(path) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEY_TO_ATTR:
+        if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        attr = _KEY_TO_ATTR[key]
-        if attr in _BOOL_KEYS:
-            lowered = value.lower()
-            if lowered in _TRUE:
-                values[attr] = True
-            elif lowered in _FALSE:
-                values[attr] = False
-            else:
-                raise ConfigError(f"{path}:{lineno}: expected a boolean for {key}, got {value!r}")
-            continue
-        default = getattr(defaults, attr)
         try:
-            if isinstance(default, bool):
-                raise AssertionError
-            if isinstance(default, int):
-                values[attr] = int(value)
-            elif isinstance(default, float):
-                values[attr] = float(value)
-            else:
-                values[attr] = value
+            values[_FIELDS[key].name] = _convert(_FIELDS[key], value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
+def _flag_type(f: dataclasses.Field):
+    def convert(text: str):
+        try:
+            return _convert(f, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="key = value config file")
-    defaults = RunConfig()
-
-    def flag(key: str, attr: str, **kwargs):
-        common.add_argument(f"--{key.replace('_', '-')}", dest=attr, default=None, **kwargs)
-
-    flag("source", "source", help="source-side corpus file")
-    flag("target", "target", help="target-side corpus file")
-    flag("embeddings", "embeddings", help="pre-trained embedding file for the encoder")
-    flag("checkpoint", "checkpoint", help="input checkpoint path")
-    flag("baseline-checkpoint", "baseline_checkpoint",
-         help="pre-enhancement checkpoint for classify mode")
-    flag("mode", "mode", choices=["bleu", "classify", "centroid", "diagnostics"],
-         help="eval mode")
-    flag("out", "out", help=f"output directory (default {defaults.out})")
-    flag("seed", "seed", type=int, help="global random seed")
-    flag("depth", "depth", type=int, help="encoder/decoder layers")
-    flag("dim", "dim", type=int, help="model width")
-    flag("heads", "heads", type=int, help="attention heads")
-    flag("ff-dim", "ff_dim", type=int, help="feed-forward width (0 = 4*dim)")
-    flag("emb-dim", "emb_dim", type=int, help="token embedding width")
-    flag("proj-dim", "proj_dim", type=int, help="projection output width")
-    flag("pooling", "pooling", choices=["mean", "max"], help="sentence pooling kind")
-    flag("dropout", "dropout", type=float, help="dropout rate")
-    flag("max-len", "max_len", type=int, help="max encoded sentence length")
-    flag("min-freq", "min_freq", type=int, help="vocabulary frequency cutoff")
-    flag("max-vocab", "max_vocab", type=int, help="vocabulary size cap")
-    flag("batch-size", "batch_size", type=int, help="training batch size")
-    flag("steps", "steps", type=int, help="translation training steps")
-    flag("finetune-steps", "finetune_steps", type=int,
-         help="fine-tuning steps (-1 = same as steps)")
-    flag("lr", "lr", type=float, help="peak learning rate")
-    flag("warmup", "warmup", type=int, help="linear warmup steps")
-    flag("lambda", "lam", type=float, help="redundancy term weight")
-    flag("epochs", "epochs", type=int, help="context-enhancement epochs")
-    flag("skip-pretrain", "skip_pretrain", action="store_const", const=True,
-         help="start enhancement from a fresh encoder")
-    flag("reuse-decoder", "reuse_decoder", action="store_const", const=True,
-         help="fine-tune with the carried decoder instead of a fresh one")
-    flag("precision", "precision", choices=["float32", "float64"],
-         help="numeric precision (float64 is the reproducibility mode)")
+    for key, f in _FIELDS.items():
+        flag, help_text = f"--{key.replace('_', '-')}", f.metadata["help"]
+        if isinstance(f.default, bool):
+            common.add_argument(flag, dest=f.name, default=None, action="store_const",
+                                const=True, help=help_text)
+            continue
+        if f.default is not None:
+            help_text += f" (default {f.default})"
+        common.add_argument(flag, dest=f.name, default=None, type=_flag_type(f),
+                            choices=f.metadata["choices"], help=help_text)
 
     parser = argparse.ArgumentParser(
         prog="ce-nmt",
@@ -216,20 +204,6 @@ def _build_vocabs(cfg: RunConfig, corpus: ParallelCorpus) -> tuple[Vocabulary, V
     return vocab_src, vocab_tgt
 
 
-def _save_vocabs(out: Path, vocab_src: Vocabulary, vocab_tgt: Vocabulary) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    vocab_src.save(out / "vocab.src.txt")
-    vocab_tgt.save(out / "vocab.tgt.txt")
-
-
-def _vocabs_near_checkpoint(ckpt_path: Path) -> tuple[Vocabulary, Vocabulary]:
-    folder = ckpt_path.parent
-    src, tgt = folder / "vocab.src.txt", folder / "vocab.tgt.txt"
-    if not src.exists() or not tgt.exists():
-        raise ConfigError(f"vocabulary files not found next to checkpoint in {folder}")
-    return Vocabulary.load(src), Vocabulary.load(tgt)
-
-
 def _model_config(cfg: RunConfig, vocab_src: Vocabulary, vocab_tgt: Vocabulary) -> ModelConfig:
     return ModelConfig(
         src_vocab=len(vocab_src), tgt_vocab=len(vocab_tgt), depth=cfg.depth, dim=cfg.dim,
@@ -265,14 +239,33 @@ def _load_checkpoint_arg(cfg: RunConfig, attr: str = "checkpoint") -> TR.Checkpo
     return TR.load_checkpoint(path, dtype=cfg.dtype())
 
 
+def _open_run(cfg: RunConfig, from_checkpoint: bool, save_vocabs: bool = True):
+    """(corpus, checkpoint or None, vocab_src, vocab_tgt, out): the corpus, then
+    ``--checkpoint`` and the vocabularies next to it or new ones, then ``--out``."""
+    corpus = _load_corpus(cfg)
+    ckpt = None
+    if from_checkpoint:
+        ckpt = _load_checkpoint_arg(cfg)
+        folder = Path(cfg.checkpoint).parent
+        src, tgt = folder / "vocab.src.txt", folder / "vocab.tgt.txt"
+        if not src.exists() or not tgt.exists():
+            raise ConfigError(f"vocabulary files not found next to checkpoint in {folder}")
+        vocab_src, vocab_tgt = Vocabulary.load(src), Vocabulary.load(tgt)
+    else:
+        vocab_src, vocab_tgt = _build_vocabs(cfg, corpus)
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if save_vocabs:
+        vocab_src.save(out / "vocab.src.txt")
+        vocab_tgt.save(out / "vocab.tgt.txt")
+    return corpus, ckpt, vocab_src, vocab_tgt, out
+
+
 # -- commands -----------------------------------------------------------------------
 
 
 def cmd_prepare(cfg: RunConfig) -> int:
-    corpus = _load_corpus(cfg)
-    vocab_src, vocab_tgt = _build_vocabs(cfg, corpus)
-    out = Path(cfg.out)
-    _save_vocabs(out, vocab_src, vocab_tgt)
+    corpus, _, vocab_src, vocab_tgt, out = _open_run(cfg, from_checkpoint=False)
 
     def histogram(side):
         counts: dict[int, int] = {}
@@ -294,10 +287,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    corpus = _load_corpus(cfg)
-    vocab_src, vocab_tgt = _build_vocabs(cfg, corpus)
-    out = Path(cfg.out)
-    _save_vocabs(out, vocab_src, vocab_tgt)
+    corpus, _, vocab_src, vocab_tgt, out = _open_run(cfg, from_checkpoint=False)
     metrics = TR.MetricsLog(out / "metrics.jsonl", record_time=_record_time(cfg))
     ckpt = TR.train_translation(
         _model_config(cfg, vocab_src, vocab_tgt), corpus, vocab_src, vocab_tgt,
@@ -311,23 +301,10 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_ce(cfg: RunConfig) -> int:
-    corpus = _load_corpus(cfg)
-    out = Path(cfg.out)
-    if cfg.checkpoint:
-        start = _load_checkpoint_arg(cfg)
-        vocab_src, vocab_tgt = _vocabs_near_checkpoint(Path(cfg.checkpoint))
-        _save_vocabs(out, vocab_src, vocab_tgt)
-    else:
-        vocab_src, vocab_tgt = _build_vocabs(cfg, corpus)
-        _save_vocabs(out, vocab_src, vocab_tgt)
-        rng = np.random.default_rng(cfg.seed)
-        from . import model as M
-
-        mc = _model_config(cfg, vocab_src, vocab_tgt)
-        enc = M.init_encoder_params(mc, rng, dtype=cfg.dtype(),
-                                    embed_table=_embed_table(cfg, vocab_src))
-        start = TR.Checkpoint(mc, "ce", cfg.seed, 0, enc,
-                              projection=M.init_projection_params(mc, rng, dtype=cfg.dtype()))
+    corpus, start, vocab_src, vocab_tgt, out = _open_run(cfg, bool(cfg.checkpoint))
+    if start is None:
+        start = TR.fresh_ce_start(_model_config(cfg, vocab_src, vocab_tgt), cfg.seed,
+                                  cfg.dtype(), _embed_table(cfg, vocab_src))
     metrics = TR.MetricsLog(out / "metrics.jsonl", record_time=_record_time(cfg))
     ckpt = TR.context_enhance(start, corpus, vocab_src, _ce_config(cfg), cfg.seed,
                               lr=cfg.lr, warmup=max(1, cfg.warmup // 4),
@@ -338,11 +315,7 @@ def cmd_ce(cfg: RunConfig) -> int:
 
 
 def cmd_finetune(cfg: RunConfig) -> int:
-    corpus = _load_corpus(cfg)
-    ce_ckpt = _load_checkpoint_arg(cfg)
-    vocab_src, vocab_tgt = _vocabs_near_checkpoint(Path(cfg.checkpoint))
-    out = Path(cfg.out)
-    _save_vocabs(out, vocab_src, vocab_tgt)
+    corpus, ce_ckpt, vocab_src, vocab_tgt, out = _open_run(cfg, from_checkpoint=True)
     steps = cfg.finetune_steps if cfg.finetune_steps >= 0 else cfg.steps
     metrics = TR.MetricsLog(out / "metrics.jsonl", record_time=_record_time(cfg))
     ckpt = TR.finetune_translation(ce_ckpt, corpus, vocab_src, vocab_tgt, steps, cfg.seed,
@@ -355,10 +328,7 @@ def cmd_finetune(cfg: RunConfig) -> int:
 
 
 def cmd_pipeline(cfg: RunConfig) -> int:
-    corpus = _load_corpus(cfg)
-    vocab_src, vocab_tgt = _build_vocabs(cfg, corpus)
-    out = Path(cfg.out)
-    _save_vocabs(out, vocab_src, vocab_tgt)
+    corpus, _, vocab_src, vocab_tgt, out = _open_run(cfg, from_checkpoint=False)
     result = TR.run_pipeline(
         _model_config(cfg, vocab_src, vocab_tgt), _ce_config(cfg), corpus,
         vocab_src, vocab_tgt, cfg.seed, out,
@@ -367,7 +337,6 @@ def cmd_pipeline(cfg: RunConfig) -> int:
         batch_size=cfg.batch_size, lr=cfg.lr, warmup=cfg.warmup,
         skip_pretrain=cfg.skip_pretrain, reuse_decoder=cfg.reuse_decoder,
         embed_table=_embed_table(cfg, vocab_src), dtype=cfg.dtype(),
-        record_time=_record_time(cfg),
     )
     for stage, path in result.paths.items():
         print(f"{stage}: {path}")
@@ -376,11 +345,8 @@ def cmd_pipeline(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     _require(cfg, "mode")
-    corpus = _load_corpus(cfg)
-    ckpt = _load_checkpoint_arg(cfg)
-    vocab_src, vocab_tgt = _vocabs_near_checkpoint(Path(cfg.checkpoint))
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    corpus, ckpt, vocab_src, vocab_tgt, out = _open_run(cfg, from_checkpoint=True,
+                                                        save_vocabs=False)
 
     if cfg.mode == "bleu":
         if ckpt.decoder is None:

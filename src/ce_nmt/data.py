@@ -185,6 +185,17 @@ def _pad_block(rows: list[list[int]]) -> np.ndarray:
     return block
 
 
+def source_batches(sentences: Sequence[Sequence[str]], vocab: Vocabulary, batch_size: int,
+                   max_len: int) -> Iterator[np.ndarray]:
+    """Encode sentences in order and yield PAD-padded id blocks of up to
+    ``batch_size`` rows, each padded to its longest row."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    for start in range(0, len(sentences), batch_size):
+        yield _pad_block([encode_sentence(s, vocab, max_len)
+                          for s in sentences[start:start + batch_size]])
+
+
 def batch_iter(corpus: ParallelCorpus, vocab_src: Vocabulary, vocab_tgt: Vocabulary,
                batch_size: int, max_len: int = 64, shuffle: bool = False,
                seed: int = 0) -> Iterator[Batch]:

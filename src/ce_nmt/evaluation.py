@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model as M
-from .data import BOS, EOS, PAD, ParallelCorpus, Vocabulary, encode_sentence, subtract_centroid
+from .data import BOS, EOS, PAD, ParallelCorpus, Vocabulary, source_batches, subtract_centroid
 from .errors import ConfigError, ProtocolError
 from .losses import cross_correlation
 
@@ -269,12 +269,10 @@ def translate_corpus(ckpt, corpus: ParallelCorpus, vocab_src: Vocabulary,
     """Greedy-translate every source sentence; returns token lists."""
     if ckpt.decoder is None:
         raise ConfigError(f"translation requires a decoder; stage {ckpt.stage!r} checkpoint has none")
-    from .data import batch_iter
-
     outputs: list[list[str]] = []
-    for batch in batch_iter(corpus, vocab_src, vocab_tgt, batch_size, max_len=ckpt.config.max_len):
-        ids = greedy_decode(ckpt.encoder, ckpt.decoder, ckpt.config,
-                            batch.source_ids, batch.source_mask)
+    for src_ids in source_batches([p.source for p in corpus], vocab_src, batch_size,
+                                  ckpt.config.max_len):
+        ids = greedy_decode(ckpt.encoder, ckpt.decoder, ckpt.config, src_ids, src_ids != PAD)
         outputs.extend([[vocab_tgt.token(i) for i in row] for row in ids])
     return outputs
 
@@ -287,13 +285,7 @@ def pool_sentence_embeddings(encoder, cfg: M.ModelConfig, sentences, vocab: Voca
     """Encode token sequences and pool them into an (M, dim) matrix."""
     pooling = pooling or cfg.pooling
     rows: list[np.ndarray] = []
-    for start in range(0, len(sentences), batch_size):
-        chunk = sentences[start:start + batch_size]
-        encoded = [encode_sentence(s, vocab, cfg.max_len) for s in chunk]
-        width = max(len(e) for e in encoded)
-        ids = np.full((len(chunk), width), PAD, dtype=np.int64)
-        for i, e in enumerate(encoded):
-            ids[i, :len(e)] = e
+    for ids in source_batches(sentences, vocab, batch_size, cfg.max_len):
         latent = M.encode(ids, ids != PAD, encoder, cfg)
         rows.append(M.pool(latent, pooling).values.values)
     return np.vstack(rows)

@@ -43,11 +43,6 @@ class CrossCorrelation:
                 f"cross-correlation entry out of [-1, 1]: max |C| = {np.abs(v).max()}"
             )
 
-    @property
-    def off_diagonal_energy(self) -> float:
-        v = self.values
-        return float((v * v).sum() - (np.diagonal(v) ** 2).sum())
-
 
 @dataclass
 class CELossBreakdown:

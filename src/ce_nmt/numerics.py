@@ -69,9 +69,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -128,9 +125,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
@@ -139,9 +133,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _wrap(x) -> Tensor:
@@ -229,16 +220,6 @@ def div(a: Tensor, b) -> Tensor:
     return _result(out_values, (a, b), backward)
 
 
-def power(a: Tensor, exponent: float) -> Tensor:
-    p = float(exponent)
-    out_values = a.values ** p
-
-    def backward(g):
-        _accumulate(a, g * p * a.values ** (p - 1.0))
-
-    return _result(out_values, (a,), backward)
-
-
 def sqrt(a: Tensor) -> Tensor:
     out_values = np.sqrt(a.values)
 
@@ -298,11 +279,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _result(out_values, (a,), backward)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.values.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 def diagonal(a: Tensor) -> Tensor:
     if a.values.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"diagonal expects a square matrix, got {a.shape}")
@@ -339,19 +315,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # -- softmax family -----------------------------------------------------------
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis`` (max-subtraction)."""
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    out_values = exps / exps.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * out_values).sum(axis=axis, keepdims=True)
-        _accumulate(a, out_values * (g - inner))
-
-    return _result(out_values, (a,), backward)
 
 
 def masked_softmax(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:

@@ -24,7 +24,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +126,6 @@ class MetricsLog:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.path.write_text("")
         self._last = time.monotonic()
-        self.count = 0
 
     def write(self, stage: str, step_or_epoch: int, loss: float,
               invariance: float | None = None, redundancy: float | None = None,
@@ -145,7 +144,6 @@ class MetricsLog:
         }
         with self.path.open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
-        self.count += 1
 
 
 # -- collapse monitoring ------------------------------------------------------
@@ -237,7 +235,6 @@ class Checkpoint:
     encoder: EncoderParams
     decoder: DecoderParams | None = None
     projection: ProjectionParams | None = None
-    optimizer: AdamOptimizer | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.stage not in STAGES:
@@ -287,19 +284,8 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
         "seed": ckpt.seed,
         "step": ckpt.step,
         "groups": [g for g, _ in groups],
-        "optimizer": None,
+        "optimizer": None,        # always null; kept so format v1 bytes stay stable
     }
-    opt_arrays: list[tuple[str, np.ndarray]] = []
-    if ckpt.optimizer is not None:
-        opt = ckpt.optimizer
-        header["optimizer"] = {
-            "step_count": opt.step_count, "lr": opt.lr, "warmup": opt.warmup,
-            "beta1": opt.beta1, "beta2": opt.beta2, "eps": opt.eps,
-            "clip_norm": opt.clip_norm, "params": list(opt.params.keys()),
-        }
-        for k in opt.params:
-            opt_arrays.append((f"opt.m.{k}", opt.m[k]))
-            opt_arrays.append((f"opt.v.{k}", opt.v[k]))
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
@@ -309,8 +295,6 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     for group_name, group in groups:
         for name, tensor in group.items():
             _write_array(buf, f"{group_name}.{name}", tensor.values)
-    for name, values in opt_arrays:
-        _write_array(buf, name, values)
     return buf.getvalue()
 
 
@@ -340,13 +324,12 @@ def load_checkpoint(path, dtype=np.float64) -> Checkpoint:
         tensors = {
             name[len(prefix) + 1:]: Tensor(values.astype(dtype), requires_grad=True)
             for name, values in arrays.items()
-            if name.startswith(prefix + ".") and not name.startswith("opt.")
+            if name.startswith(prefix + ".")
         }
         return cls(tensors) if tensors else None
 
-    cfg = ModelConfig.from_dict(header["config"])
-    ckpt = Checkpoint(
-        config=cfg,
+    return Checkpoint(
+        config=ModelConfig.from_dict(header["config"]),
         stage=header["stage"],
         seed=header["seed"],
         step=header["step"],
@@ -354,23 +337,6 @@ def load_checkpoint(path, dtype=np.float64) -> Checkpoint:
         decoder=group("decoder", DecoderParams),
         projection=group("projection", ProjectionParams),
     )
-    meta = header.get("optimizer")
-    if meta:
-        flat: dict[str, Tensor] = {}
-        for g_name in header["groups"]:
-            grp = getattr(ckpt, {"encoder": "encoder", "decoder": "decoder",
-                                 "projection": "projection"}[g_name])
-            for name, tensor in grp.items():
-                flat[f"{g_name}.{name}"] = tensor
-        opt = AdamOptimizer({k: flat[k] for k in meta["params"]}, lr=meta["lr"],
-                            warmup=meta["warmup"], beta1=meta["beta1"], beta2=meta["beta2"],
-                            eps=meta["eps"], clip_norm=meta["clip_norm"])
-        opt.step_count = meta["step_count"]
-        for k in meta["params"]:
-            opt.m[k] = arrays[f"opt.m.{k}"].astype(dtype)
-            opt.v[k] = arrays[f"opt.v.{k}"].astype(dtype)
-        ckpt.optimizer = opt
-    return ckpt
 
 
 def _flatten(groups: dict[str, ParamGroup | None]) -> dict[str, Tensor]:
@@ -468,6 +434,16 @@ def train_translation(cfg: ModelConfig, corpus: ParallelCorpus, vocab_src: Vocab
                                   steps, batch_size, lr, warmup, "pretrain", metrics,
                                   Path(out_dir) if out_dir else None)
     return Checkpoint(cfg, "pretrain", seed, step, enc, decoder=dec)
+
+
+def fresh_ce_start(cfg: ModelConfig, seed: int, dtype=np.float64,
+                   embed_table: np.ndarray | None = None) -> Checkpoint:
+    """A stage-2 starting point without pre-training: a seeded fresh encoder
+    (embeddings optionally from ``embed_table``) and projection."""
+    rng = np.random.default_rng(seed)
+    enc = M.init_encoder_params(cfg, rng, dtype=dtype, embed_table=embed_table)
+    return Checkpoint(cfg, "ce", seed, 0, enc,
+                      projection=M.init_projection_params(cfg, rng, dtype=dtype))
 
 
 def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabulary,
@@ -589,31 +565,27 @@ def run_pipeline(cfg: ModelConfig, ce_cfg: CEConfig, corpus: ParallelCorpus,
                  steps: int = 1000, finetune_steps: int | None = None,
                  batch_size: int = 32, lr: float = 1e-3, warmup: int = 400,
                  skip_pretrain: bool = False, reuse_decoder: bool = False,
-                 embed_table: np.ndarray | None = None, dtype=np.float64,
-                 record_time: bool | None = None) -> PipelineResult:
+                 embed_table: np.ndarray | None = None,
+                 dtype=np.float64) -> PipelineResult:
     """Run pretrain -> ce -> finetune, persisting checkpoints and metrics.
 
     ``skip_pretrain`` starts CE directly from a fresh encoder (optionally
     seeded with ``embed_table``), emitting only the ce and finetune
     checkpoints. Stage errors propagate after earlier checkpoints are safely
-    on disk. Timing defaults to on for float32 runs and off for float64 runs
-    (the reproducibility mode).
+    on disk. Timing is on for float32 runs and off for float64 runs (the
+    reproducibility mode).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if record_time is None:
-        record_time = np.dtype(dtype) == np.float32
     if finetune_steps is None:
         finetune_steps = steps
-    metrics = MetricsLog(out_dir / "metrics.jsonl", record_time=record_time)
+    metrics = MetricsLog(out_dir / "metrics.jsonl",
+                         record_time=np.dtype(dtype) == np.float32)
     checkpoints: dict[str, Checkpoint] = {}
     paths: dict[str, Path] = {}
 
     if skip_pretrain:
-        rng = np.random.default_rng(seed)
-        enc = M.init_encoder_params(cfg, rng, dtype=dtype, embed_table=embed_table)
-        start = Checkpoint(cfg, "ce", seed, 0, enc,
-                           projection=M.init_projection_params(cfg, rng, dtype=dtype))
+        start = fresh_ce_start(cfg, seed, dtype, embed_table)
     else:
         start = train_translation(cfg, corpus, vocab_src, vocab_tgt, seed, steps,
                                   batch_size=batch_size, lr=lr, warmup=warmup, dtype=dtype,

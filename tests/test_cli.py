@@ -4,7 +4,10 @@ import re
 import pytest
 
 from ce_nmt import cli
+from ce_nmt import training as TR
+from ce_nmt.data import build_vocab, load_parallel_corpus
 from ce_nmt.errors import ConfigError
+from ce_nmt.model import ModelConfig
 from ce_nmt.synthetic import make_cipher_corpus, write_parallel_files
 
 
@@ -83,6 +86,24 @@ def test_cmd_ce_writes_one_metrics_line_per_epoch(toy_files):
     assert len(lines) == 5
     assert all(l["stage"] == "ce" for l in lines)
     assert all(l["lambda"] == 0.005 for l in lines)
+
+
+def test_cmd_ce_fresh_start_matches_library(toy_files):
+    # Without --checkpoint, `ce` starts where run_pipeline(skip_pretrain=True)
+    # starts: fresh_ce_start with the stage seed.
+    tmp, src, tgt = toy_files
+    out = tmp / "ce_fresh"
+    assert cli.main(["ce", "--source", src, "--target", tgt, "--out", str(out),
+                     "--epochs", "2", "--seed", "7", *SMALL_MODEL]) == 0
+    corpus = load_parallel_corpus(src, tgt)
+    vs = build_vocab([p.source for p in corpus] + [p.target for p in corpus])
+    vt = build_vocab([p.target for p in corpus])
+    cfg = ModelConfig(src_vocab=len(vs), tgt_vocab=len(vt), depth=1, dim=16, heads=2,
+                      ff_dim=32, proj_dim=4, pooling="mean", emb_dim=16, max_len=8)
+    ce_cfg = TR.CEConfig(lam=5e-3, epochs=2, batch_size=8, pooling="mean", proj_dim=4)
+    ckpt = TR.context_enhance(TR.fresh_ce_start(cfg, 7), corpus, vs, ce_cfg, 7,
+                              lr=1e-3, warmup=1)
+    assert (out / "ce-2.ckpt").read_bytes() == TR.checkpoint_bytes(ckpt)
 
 
 def test_cmd_finetune_missing_checkpoint_exits_2(toy_files):
@@ -259,6 +280,19 @@ def test_config_file_bad_bool_rejected(tmp_path):
     conf.write_text("skip_pretrain = maybe\n")
     with pytest.raises(ConfigError, match="boolean"):
         cli.parse_config_file(conf)
+
+
+def test_config_file_value_outside_choices_exits_2(pipeline_out, capsys):
+    # a config-file value gets the same choices check as the flag
+    tmp, src, tgt, out = pipeline_out
+    conf = tmp / "blue.conf"
+    conf.write_text("mode = blue\n")
+    ckpt = next(out.glob("finetune-*.ckpt"))
+    code = cli.main(["eval", "--config", str(conf), "--checkpoint", str(ckpt),
+                     "--source", src, "--target", tgt, "--out", str(tmp / "blue")])
+    assert code == 2
+    assert "invalid choice: 'blue'" in capsys.readouterr().err
+    assert not (tmp / "blue").exists()
 
 
 def test_unknown_config_key_via_cli_exits_2(tmp_path, toy_files):
