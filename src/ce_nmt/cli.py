@@ -349,9 +349,6 @@ def cmd_eval(cfg: RunConfig) -> int:
                                                         save_vocabs=False)
 
     if cfg.mode == "bleu":
-        if ckpt.decoder is None:
-            raise ConfigError(
-                f"bleu mode needs a decoder; the {ckpt.stage!r} checkpoint carries none")
         hyps = E.translate_corpus(ckpt, corpus, vocab_src, vocab_tgt,
                                   batch_size=cfg.batch_size)
         refs = [list(p.target) for p in corpus]
@@ -431,7 +428,6 @@ def main(argv: list[str] | None = None) -> int:
         log.error("divergence: %s", exc)
         return EXIT_DIVERGENCE
     except (CENMTError, OSError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

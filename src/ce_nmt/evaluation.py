@@ -25,6 +25,7 @@ from . import model as M
 from .data import BOS, EOS, PAD, ParallelCorpus, Vocabulary, source_batches, subtract_centroid
 from .errors import ConfigError, ProtocolError
 from .losses import cross_correlation
+from .numerics import no_grad
 
 MIN_SAMPLES_PER_LANGUAGE = 10
 
@@ -239,16 +240,23 @@ def bleu(hypotheses, references, max_n: int = 4) -> float:
 # -- decoding -----------------------------------------------------------------------------
 
 
+@no_grad()
 def greedy_decode(encoder, decoder, cfg: M.ModelConfig, src_ids: np.ndarray,
                   src_mask: np.ndarray, max_len: int | None = None) -> list[list[int]]:
-    """Greedy decoding; returns per-row token ids between BOS and EOS."""
+    """Greedy decoding; returns per-row token ids between BOS and EOS.
+
+    Each step feeds only the newest token to the decoder, which attends to
+    the keys and values it cached for the earlier ones.
+    """
     max_len = max_len or cfg.max_len
     latent = M.encode(src_ids, src_mask, encoder, cfg)
     B = src_ids.shape[0]
+    cache = M.DecodeCache()
     ys = np.full((B, 1), BOS, dtype=np.int64)
     done = np.zeros(B, dtype=bool)
     while ys.shape[1] < max_len and not done.all():
-        logits = M.decode(latent, ys, ys != PAD, decoder, cfg)
+        newest = ys[:, -1:]
+        logits = M.decode(latent, newest, newest != PAD, decoder, cfg, cache=cache)
         next_ids = logits.values[:, -1, :].argmax(axis=-1).astype(np.int64)
         next_ids[done] = PAD
         done |= next_ids == EOS
@@ -280,6 +288,7 @@ def translate_corpus(ckpt, corpus: ParallelCorpus, vocab_src: Vocabulary,
 # -- embedding extraction ---------------------------------------------------------------------
 
 
+@no_grad()
 def pool_sentence_embeddings(encoder, cfg: M.ModelConfig, sentences, vocab: Vocabulary,
                              pooling: str | None = None, batch_size: int = 64) -> np.ndarray:
     """Encode token sequences and pool them into an (M, dim) matrix."""
@@ -347,6 +356,7 @@ def _float_row(values) -> list[str]:
     return [repr(float(v)) for v in values]
 
 
+@no_grad()
 def export_diagnostics(ckpt, corpus: ParallelCorpus, vocab_enc: Vocabulary,
                        out_dir, vocab_tgt: Vocabulary | None = None,
                        batch_size: int = 8, n_probe_batches: int = 2) -> list[Path]:

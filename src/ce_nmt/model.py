@@ -17,7 +17,7 @@ so any change confined to padding leaves unmasked outputs bitwise unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator
 
 import numpy as np
@@ -220,6 +220,23 @@ class SentenceEmbedding:
     values: Tensor
 
 
+@dataclass
+class DecodeCache:
+    """What incremental ``decode`` calls on one batch carry between them.
+
+    ``length`` target positions are decoded so far, with their key mask
+    (B, length). Per layer it holds the self-attention keys and values of
+    those positions, (B, length, dim) each, and the cross-attention keys and
+    values of the latent, computed on the first call. Everything is a plain
+    array, so no gradient can flow through the cache.
+    """
+
+    length: int = 0
+    mask: np.ndarray | None = None
+    self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    cross_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+
+
 # -- building blocks ---------------------------------------------------------------
 
 
@@ -280,12 +297,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     return merged.reshape((B, num_heads, tq, hd)).transpose(0, 2, 1, 3).reshape((B, tq, h))
 
 
-def _mha_layer(x_q: Tensor, x_kv: Tensor, params: ParamGroup, prefix: str,
+def _keys_values(x: Tensor, params: ParamGroup, prefix: str) -> tuple[Tensor, Tensor]:
+    return _linear(x, params[f"{prefix}.wk"]), _linear(x, params[f"{prefix}.wv"])
+
+
+def _mha_layer(x_q: Tensor, kv: tuple[Tensor, Tensor], params: ParamGroup, prefix: str,
                mask: np.ndarray, cfg: ModelConfig, capture: list | None) -> Tensor:
     q = _linear(x_q, params[f"{prefix}.wq"])
-    k = _linear(x_kv, params[f"{prefix}.wk"])
-    v = _linear(x_kv, params[f"{prefix}.wv"])
-    out = attention(q, k, v, mask, cfg.heads, capture)
+    out = attention(q, *kv, mask, cfg.heads, capture)
     return _linear(out, params[f"{prefix}.wo"])
 
 
@@ -299,10 +318,11 @@ def _ln(x: Tensor, params: ParamGroup, prefix: str) -> Tensor:
 
 
 def _embed_inputs(ids: np.ndarray, params: ParamGroup, cfg: ModelConfig,
-                  rng: np.random.Generator | None) -> Tensor:
+                  rng: np.random.Generator | None, start: int = 0) -> Tensor:
+    """Embed ids (B, t) that sit at positions start .. start + t - 1."""
     emb = N.embedding_lookup(params["embed"], ids)
     x = _linear(emb, params["in_w"], params["in_b"]) * math.sqrt(cfg.dim)
-    pe = sinusoidal_positions(ids.shape[1], cfg.dim, dtype=x.dtype)
+    pe = sinusoidal_positions(start + ids.shape[1], cfg.dim, dtype=x.dtype)[start:]
     x = x + pe[None, :, :]
     return _dropout(x, cfg.dropout, rng)
 
@@ -324,7 +344,8 @@ def encode(src_ids: np.ndarray, src_mask: np.ndarray, params: EncoderParams,
     x = _embed_inputs(src_ids, params, cfg, rng)
     for i in range(cfg.depth):
         y = _ln(x, params, f"layer{i}.ln1")
-        attn_out = _mha_layer(y, y, params, f"layer{i}.attn", src_mask, cfg, capture)
+        attn_out = _mha_layer(y, _keys_values(y, params, f"layer{i}.attn"), params,
+                              f"layer{i}.attn", src_mask, cfg, capture)
         x = x + _dropout(attn_out, cfg.dropout, rng)
         ff_out = _ff(_ln(x, params, f"layer{i}.ln2"), params, f"layer{i}.ff")
         x = x + _dropout(ff_out, cfg.dropout, rng)
@@ -335,11 +356,18 @@ def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
            params: DecoderParams, cfg: ModelConfig,
            rng: np.random.Generator | None = None,
            self_capture: list | None = None,
-           cross_capture: list | None = None) -> Tensor:
+           cross_capture: list | None = None,
+           cache: DecodeCache | None = None) -> Tensor:
     """Causal decoding of a target prefix against an encoded source.
 
     Returns logits (B, t2, tgt_vocab). Logits at position j depend only on
     target positions <= j and on unmasked source positions.
+
+    With a ``cache`` (only under ``numerics.no_grad()``), ``tgt_ids`` and
+    ``tgt_mask`` are the positions after the ``cache.length`` already
+    decoded ones; they attend to the cached keys and values, and the cache
+    is extended by them. Logits agree with one uncached call on the whole
+    prefix to rounding, not bitwise.
     """
     tgt_ids = np.asarray(tgt_ids)
     tgt_mask = np.asarray(tgt_mask, dtype=bool)
@@ -349,21 +377,41 @@ def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
         raise ConfigError(
             f"batch mismatch: latent has {latent.values.shape[0]} rows, target has {tgt_ids.shape[0]}"
         )
-    if (tgt_ids[:, 0] != BOS).any():
+    if cache is not None and N.grad_enabled():
+        raise ConfigError("decode with a cache must run under numerics.no_grad(): "
+                          "the cache holds plain arrays, not the tape")
+    start = 0 if cache is None else cache.length
+    if start == 0 and (tgt_ids[:, 0] != BOS).any():
         raise ConfigError("target prefix must begin with BOS")
     B, t2 = tgt_ids.shape
-    causal = np.tril(np.ones((t2, t2), dtype=bool))
-    self_mask = causal[None, :, :] & tgt_mask[:, None, :]
-    x = _embed_inputs(tgt_ids, params, cfg, rng)
+    key_mask = tgt_mask if start == 0 else np.concatenate([cache.mask, tgt_mask], axis=1)
+    causal = np.tril(np.ones((t2, start + t2), dtype=bool), k=start)
+    self_mask = causal[None, :, :] & key_mask[:, None, :]
+    x = _embed_inputs(tgt_ids, params, cfg, rng, start)
+    self_kv: list[tuple[Tensor, Tensor]] = []
+    cross_kv: list[tuple[Tensor, Tensor]] = []
     for i in range(cfg.depth):
         y = _ln(x, params, f"layer{i}.ln1")
-        x = x + _dropout(_mha_layer(y, y, params, f"layer{i}.self", self_mask, cfg, self_capture),
+        kv = _keys_values(y, params, f"layer{i}.self")
+        if start:
+            kv = tuple(Tensor(np.concatenate([old, new.values], axis=1))
+                       for old, new in zip(cache.self_kv[i], kv))
+        self_kv.append(kv)
+        x = x + _dropout(_mha_layer(y, kv, params, f"layer{i}.self", self_mask, cfg, self_capture),
                          cfg.dropout, rng)
         y = _ln(x, params, f"layer{i}.ln2")
-        cross = _mha_layer(y, latent.values, params, f"layer{i}.cross", latent.mask, cfg,
-                           cross_capture)
+        if start:
+            kv = tuple(Tensor(a) for a in cache.cross_kv[i])
+        else:
+            kv = _keys_values(latent.values, params, f"layer{i}.cross")
+        cross_kv.append(kv)
+        cross = _mha_layer(y, kv, params, f"layer{i}.cross", latent.mask, cfg, cross_capture)
         x = x + _dropout(cross, cfg.dropout, rng)
         x = x + _dropout(_ff(_ln(x, params, f"layer{i}.ln3"), params, f"layer{i}.ff"), cfg.dropout, rng)
+    if cache is not None:
+        cache.length, cache.mask = start + t2, key_mask
+        cache.self_kv = [(k.values, v.values) for k, v in self_kv]
+        cache.cross_kv = [(k.values, v.values) for k, v in cross_kv]
     x = _ln(x, params, "final_ln")
     return _linear(x, params["out_w"], params["out_b"])
 

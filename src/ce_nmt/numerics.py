@@ -9,13 +9,16 @@ Conventions:
   - values are float32 or float64 numpy arrays (float64 in tests),
   - non-finite values raise ``NumericError`` at construction time,
   - boolean masks are plain numpy arrays, never Tensors,
+  - inside ``no_grad()`` operations record no tape: results have no parents,
   - masked softmax / pooling exclude masked positions exactly (weight 0),
     so mask-invariance holds bitwise at 64-bit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import contextlib
+import threading
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +30,34 @@ from .errors import (
 )
 
 _FLOATS = (np.float32, np.float64)
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no tape inside the block (also usable as a decorator).
+
+    Operations still run every check, but return Tensors with no parents and
+    no backward function. The previous state comes back on exit, on an
+    exception too, so blocks nest. The state is per thread.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
+def grad_enabled() -> bool:
+    """Whether operations record the tape (False inside ``no_grad()``)."""
+    return _grad_mode.enabled
 
 
 def _as_float_array(values) -> np.ndarray:
@@ -142,7 +173,7 @@ def _wrap(x) -> Tensor:
 def _result(values: np.ndarray, parents: tuple[Tensor, ...],
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(values)
-    if any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn

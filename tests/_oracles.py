@@ -2,12 +2,17 @@
 
 These deliberately re-derive every quantity with explicit Python loops and
 never import package internals beyond numpy, so they stay independent of the
-code paths they check.
+code paths they check. ``greedy_decode_reference`` is the one exception: it
+drives the package's uncached ``decode`` on the whole prefix at every step,
+the plain greedy loop that incremental decoding must reproduce.
 """
 
 import math
 
 import numpy as np
+
+from ce_nmt import model as M
+from ce_nmt.data import BOS, EOS, PAD
 
 BN_EPS = 1e-5
 CORR_EPS = 1e-9
@@ -67,3 +72,27 @@ def nll_oracle(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> flo
             total += -math.log(probs[targets[b, j]])
             count += 1
     return total / count
+
+
+def greedy_decode_reference(encoder, decoder, cfg, src_ids, src_mask, max_len=None):
+    """Greedy decoding that re-runs the decoder on the whole prefix per token."""
+    max_len = max_len or cfg.max_len
+    latent = M.encode(src_ids, src_mask, encoder, cfg)
+    B = src_ids.shape[0]
+    ys = np.full((B, 1), BOS, dtype=np.int64)
+    done = np.zeros(B, dtype=bool)
+    while ys.shape[1] < max_len and not done.all():
+        logits = M.decode(latent, ys, ys != PAD, decoder, cfg)
+        next_ids = logits.values[:, -1, :].argmax(axis=-1).astype(np.int64)
+        next_ids[done] = PAD
+        done |= next_ids == EOS
+        ys = np.concatenate([ys, next_ids[:, None]], axis=1)
+    outputs = []
+    for row in ys:
+        tokens = []
+        for idx in row[1:]:
+            if idx in (EOS, PAD):
+                break
+            tokens.append(int(idx))
+        outputs.append(tokens)
+    return outputs

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,15 +238,35 @@ def test_eval_diagnostics_creates_files(pipeline_out):
     assert any(n.startswith("correlation_batch") for n in names)
 
 
-def test_eval_stage_mismatch_exits_2(toy_files):
+def test_eval_stage_mismatch_exits_2(toy_files, capsys):
     tmp, src, tgt = toy_files
     out = tmp / "ce_only"
     assert cli.main(["ce", "--source", src, "--target", tgt, "--out", str(out),
                      "--epochs", "1", "--seed", "2", *SMALL_MODEL]) == 0
+    capsys.readouterr()
     ce = next(out.glob("ce-*.ckpt"))
     code = cli.main(["eval", "--mode", "bleu", "--checkpoint", str(ce),
                      "--source", src, "--target", tgt, "--out", str(out / "e")])
     assert code == 2
+    assert "requires a decoder" in capsys.readouterr().err
+
+
+def test_input_error_printed_once_on_stderr(toy_files):
+    # A separate process: in-process, pytest's log capture would hide a
+    # second copy sent through the logging module.
+    tmp, src, tgt = toy_files
+    src_dir = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, CE_NMT_LOG="quiet",
+               PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    missing = tmp / "missing.ckpt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ce_nmt.cli", "eval", "--mode", "bleu",
+         "--checkpoint", str(missing), "--source", src, "--target", tgt,
+         "--out", str(tmp / "e")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.count("checkpoint not found") == 1
+    assert proc.stderr.splitlines() == [f"error: checkpoint not found: {missing}"]
 
 
 # -- config file handling ---------------------------------------------------------------

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import greedy_decode_reference
 from ce_nmt import evaluation as E
 from ce_nmt import model as M
+from ce_nmt import numerics as N
 from ce_nmt import training as TR
-from ce_nmt.data import build_vocab
+from ce_nmt.data import BOS, EOS, PAD, build_vocab, source_batches
 from ce_nmt.errors import ProtocolError
 from ce_nmt.synthetic import make_cipher_corpus
 
@@ -212,6 +214,54 @@ def test_greedy_decode_shapes_and_stop(trained_toy):
     hyps = E.translate_corpus(ckpt, corpus, vocab_joint, vocab_tgt)
     assert len(hyps) == len(corpus)
     assert all(len(h) <= cfg.max_len for h in hyps)
+
+
+def test_greedy_decode_matches_reference_on_trained_toy(trained_toy):
+    corpus, vocab_joint, vocab_tgt, cfg, ckpt = trained_toy
+    for src_ids in source_batches([p.source for p in corpus], vocab_joint, 16, cfg.max_len):
+        args = (ckpt.encoder, ckpt.decoder, cfg, src_ids, src_ids != PAD)
+        assert E.greedy_decode(*args) == greedy_decode_reference(*args)
+
+
+def test_greedy_decode_matches_reference_on_random_models():
+    lengths_seen = set()
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        heads = [1, 2, 4][seed % 3]
+        cfg = M.ModelConfig(src_vocab=12, tgt_vocab=9, depth=1 + seed % 2, dim=4 * heads,
+                            heads=heads, ff_dim=16, emb_dim=6, max_len=9)
+        enc = M.init_encoder_params(cfg, rng)
+        dec = M.init_decoder_params(cfg, rng)
+        # Sharper outputs and a stronger pull from the source make rows of one
+        # batch stop at different steps.
+        for i in range(cfg.depth):
+            dec[f"layer{i}.cross.wo"].values *= 6.0
+        dec["out_w"].values *= 6.0
+        src_ids = np.full((16, 6), PAD, dtype=np.int64)
+        for b, length in enumerate(rng.integers(2, 7, size=16)):
+            src_ids[b, 0], src_ids[b, length - 1] = BOS, EOS
+            src_ids[b, 1:length - 1] = rng.integers(4, 12, size=length - 2)
+        args = (enc, dec, cfg, src_ids, src_ids != PAD)
+        got = E.greedy_decode(*args)
+        assert got == greedy_decode_reference(*args), f"seed {seed}"
+        lengths_seen.update(len(row) for row in got)
+    # EOS at the first step, at later steps, and rows cut off at max_len
+    assert {0, cfg.max_len - 1} < lengths_seen and len(lengths_seen) >= 4
+
+
+def test_translate_leaves_training_bytes_unchanged(trained_toy, tmp_path):
+    corpus, vocab_joint, vocab_tgt, cfg, ckpt = trained_toy
+
+    def train(name):
+        log = TR.MetricsLog(tmp_path / name)
+        TR.train_translation(cfg, corpus, vocab_joint, vocab_tgt, seed=4, steps=6,
+                             batch_size=16, lr=3e-3, warmup=2, metrics=log)
+        return (tmp_path / name).read_bytes()
+
+    before = train("before.jsonl")
+    E.translate_corpus(ckpt, corpus, vocab_joint, vocab_tgt)
+    assert N.grad_enabled()
+    assert train("after.jsonl") == before
 
 
 def test_corpus_probe_embeddings_shapes(trained_toy):

@@ -154,6 +154,55 @@ def test_decode_source_pad_invariance(setup):
     assert np.array_equal(logits, logits2)
 
 
+def _decode_in_chunks(latent, tgt_ids, tgt_mask, dec, cfg, cuts):
+    """Logits of one cached ``decode`` call per chunk of the target, joined."""
+    cache = M.DecodeCache()
+    bounds = [0, *cuts, tgt_ids.shape[1]]
+    with N.no_grad():
+        parts = [M.decode(latent, tgt_ids[:, lo:hi], tgt_mask[:, lo:hi], dec, cfg,
+                          cache=cache).values
+                 for lo, hi in zip(bounds, bounds[1:])]
+    assert cache.length == tgt_ids.shape[1]
+    return np.concatenate(parts, axis=1)
+
+
+def test_cached_decode_matches_full_decode_randomized_configs():
+    rng = np.random.default_rng(21)
+    for trial in range(12):
+        heads = int(rng.choice([1, 2, 4]))
+        cfg = small_config(depth=int(rng.integers(1, 3)), dim=4 * heads, heads=heads,
+                           ff_dim=int(rng.integers(4, 17)))
+        enc = M.init_encoder_params(cfg, rng)
+        dec = M.init_decoder_params(cfg, rng)
+        src_ids, src_mask = random_batch(rng, cfg, B=4, t=int(rng.integers(3, 7)))
+        t = int(rng.integers(3, 8))
+        tgt_ids, tgt_mask = random_batch(rng, cfg, B=4, t=t, vocab=cfg.tgt_vocab)
+        latent = M.encode(src_ids, src_mask, enc, cfg)
+        full = M.decode(latent, tgt_ids, tgt_mask, dec, cfg).values
+        one_by_one = _decode_in_chunks(latent, tgt_ids, tgt_mask, dec, cfg, range(1, t))
+        np.testing.assert_allclose(one_by_one[tgt_mask], full[tgt_mask], rtol=0, atol=1e-10)
+        cuts = sorted(rng.choice(np.arange(1, t), size=min(2, t - 1), replace=False))
+        chunked = _decode_in_chunks(latent, tgt_ids, tgt_mask, dec, cfg, cuts)
+        np.testing.assert_allclose(chunked[tgt_mask], full[tgt_mask], rtol=0, atol=1e-10)
+
+
+def test_cached_decode_checks(setup):
+    cfg, rng, enc, dec, _ = setup
+    src_ids, src_mask = random_batch(rng, cfg)
+    latent = M.encode(src_ids, src_mask, enc, cfg)
+    bos = np.full((3, 1), BOS, dtype=np.int64)
+    with pytest.raises(ConfigError, match="no_grad"):
+        M.decode(latent, bos, bos != PAD, dec, cfg, cache=M.DecodeCache())
+    cache = M.DecodeCache()
+    with N.no_grad():
+        with pytest.raises(ConfigError, match="BOS"):
+            M.decode(latent, bos + 4, bos != PAD, dec, cfg, cache=cache)
+        M.decode(latent, bos, bos != PAD, dec, cfg, cache=cache)
+        M.decode(latent, bos + 4, bos != PAD, dec, cfg, cache=cache)   # BOS only opens a prefix
+    assert cache.length == 2
+    assert all(k.shape == (3, 2, cfg.dim) for k, _ in cache.self_kv)
+
+
 # -- attention -----------------------------------------------------------------------
 
 def test_attention_single_key_returns_value():

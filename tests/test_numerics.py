@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,55 @@ def test_non_finite_values_rejected():
         N.Tensor(np.array([1.0, np.nan]))
     with pytest.raises(NumericError):
         N.Tensor(np.array([np.inf]))
+
+
+# -- no_grad ---------------------------------------------------------------------------
+
+def test_no_grad_records_no_tape():
+    rng = np.random.default_rng(3)
+    x, w = T(rng.normal(size=(4, 3))), T(rng.normal(size=(3, 2)))
+    with N.no_grad():
+        hidden = N.relu(N.matmul(x, w))
+        loss = (hidden * hidden).sum()
+        for out in (hidden, loss):
+            assert not out.requires_grad
+            assert out._parents == () and out._backward_fn is None
+        loss.backward()
+    assert x.grad is None and w.grad is None
+    taped = (N.relu(N.matmul(x, w)) * N.relu(N.matmul(x, w))).sum()
+    assert taped.requires_grad
+    assert np.array_equal(loss.values, taped.values)
+
+
+def test_no_grad_keeps_finiteness_check():
+    big = T([np.finfo(np.float64).max])
+    with N.no_grad(), np.errstate(over="ignore"):
+        with pytest.raises(NumericError):
+            N.add(big, big)
+
+
+def test_no_grad_restores_state_after_exception_and_nesting():
+    assert N.grad_enabled()
+    with pytest.raises(RuntimeError):
+        with N.no_grad():
+            raise RuntimeError("inside the block")
+    assert N.grad_enabled()
+    with N.no_grad():
+        with N.no_grad():
+            assert not N.grad_enabled()
+        assert not N.grad_enabled()
+    assert N.grad_enabled()
+    assert (T([1.0, 2.0]) * 3.0).requires_grad
+
+
+def test_no_grad_is_per_thread():
+    seen = []
+    with N.no_grad():
+        worker = threading.Thread(target=lambda: seen.append(N.grad_enabled()))
+        worker.start()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert seen == [True]
 
 
 # -- pooling primitives --------------------------------------------------------------
