@@ -117,89 +117,88 @@ class ProjectionParams(ParamGroup):
     pass
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
+GROUPS = ("encoder", "decoder", "projection")
 
 
-def _param(values) -> Tensor:
-    return Tensor(values, requires_grad=True)
+def _attn_layout(h: int, prefix: str) -> list:
+    return [(f"{prefix}.{name}", (h, h), "glorot") for name in ("wq", "wk", "wv", "wo")]
 
 
-def _attn_weights(rng, h, dtype, out: dict, prefix: str) -> None:
-    for name in ("wq", "wk", "wv", "wo"):
-        out[f"{prefix}.{name}"] = _param(_glorot(rng, h, h, dtype))
+def _ln_layout(h: int, prefix: str) -> list:
+    return [(f"{prefix}_g", (h,), "ones"), (f"{prefix}_b", (h,), "zeros")]
 
 
-def _ln_weights(h, dtype, out: dict, prefix: str) -> None:
-    out[f"{prefix}_g"] = _param(np.ones(h, dtype=dtype))
-    out[f"{prefix}_b"] = _param(np.zeros(h, dtype=dtype))
+def _ff_layout(h: int, ff: int, prefix: str) -> list:
+    return [(f"{prefix}.w1", (h, ff), "glorot"), (f"{prefix}.b1", (ff,), "zeros"),
+            (f"{prefix}.w2", (ff, h), "glorot"), (f"{prefix}.b2", (h,), "zeros")]
 
 
-def _ff_weights(rng, h, ff, dtype, out: dict, prefix: str) -> None:
-    out[f"{prefix}.w1"] = _param(_glorot(rng, h, ff, dtype))
-    out[f"{prefix}.b1"] = _param(np.zeros(ff, dtype=dtype))
-    out[f"{prefix}.w2"] = _param(_glorot(rng, ff, h, dtype))
-    out[f"{prefix}.b2"] = _param(np.zeros(h, dtype=dtype))
+def param_layout(cfg: ModelConfig, group: str) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, init kind) of every parameter of ``group``, in order.
+
+    The order is the construction order, which fixes both the random draws
+    of the init and the tensor order of a checkpoint. Init kinds: "normal"
+    (std emb_dim^-1/2), "glorot" (uniform), "ones", "zeros".
+    """
+    h = cfg.dim
+    if group == "projection":
+        d = cfg.proj_dim
+        return [("w1", (h, d), "glorot"), ("b1", (d,), "zeros"),
+                ("w2", (d, d), "glorot"), ("b2", (d,), "zeros"),
+                ("w3", (d, d), "glorot"), ("b3", (d,), "zeros")]
+    vocab = cfg.src_vocab if group == "encoder" else cfg.tgt_vocab
+    out = [("embed", (vocab, cfg.emb_dim), "normal"),
+           ("in_w", (cfg.emb_dim, h), "glorot"), ("in_b", (h,), "zeros")]
+    attn = ("attn",) if group == "encoder" else ("self", "cross")
+    for i in range(cfg.depth):
+        for j, kind in enumerate(attn, start=1):
+            out += _ln_layout(h, f"layer{i}.ln{j}") + _attn_layout(h, f"layer{i}.{kind}")
+        out += _ln_layout(h, f"layer{i}.ln{len(attn) + 1}") \
+            + _ff_layout(h, cfg.ff_dim, f"layer{i}.ff")
+    out += _ln_layout(h, "final_ln")
+    if group == "decoder":
+        out += [("out_w", (h, cfg.tgt_vocab), "glorot"), ("out_b", (cfg.tgt_vocab,), "zeros")]
+    return out
+
+
+def _init_group(cfg: ModelConfig, group: str, rng: np.random.Generator, dtype,
+                embed_table: np.ndarray | None = None) -> dict[str, Tensor]:
+    """Draw the parameters of ``param_layout(cfg, group)`` in order;
+    ``embed_table`` replaces the draw of ``embed``."""
+    out: dict[str, Tensor] = {}
+    for name, shape, kind in param_layout(cfg, group):
+        if name == "embed" and embed_table is not None:
+            values = embed_table.astype(dtype)
+        elif kind == "normal":
+            values = rng.normal(0.0, shape[1] ** -0.5, size=shape).astype(dtype)
+        elif kind == "glorot":
+            limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+            values = rng.uniform(-limit, limit, size=shape).astype(dtype)
+        else:
+            values = (np.ones if kind == "ones" else np.zeros)(shape, dtype=dtype)
+        out[name] = Tensor(values, requires_grad=True)
+    return out
 
 
 def init_encoder_params(cfg: ModelConfig, rng: np.random.Generator,
                         dtype=np.float64, embed_table: np.ndarray | None = None) -> EncoderParams:
     """Fresh encoder parameters; ``embed_table`` overrides the embedding init."""
-    t: dict[str, Tensor] = {}
-    if embed_table is not None:
-        if embed_table.shape != (cfg.src_vocab, cfg.emb_dim):
-            raise ConfigError(
-                f"embedding table shape {embed_table.shape} does not match "
-                f"(src_vocab, emb_dim)=({cfg.src_vocab}, {cfg.emb_dim})"
-            )
-        t["embed"] = _param(embed_table.astype(dtype))
-    else:
-        t["embed"] = _param(rng.normal(0.0, cfg.emb_dim ** -0.5,
-                                       size=(cfg.src_vocab, cfg.emb_dim)).astype(dtype))
-    t["in_w"] = _param(_glorot(rng, cfg.emb_dim, cfg.dim, dtype))
-    t["in_b"] = _param(np.zeros(cfg.dim, dtype=dtype))
-    for i in range(cfg.depth):
-        _ln_weights(cfg.dim, dtype, t, f"layer{i}.ln1")
-        _attn_weights(rng, cfg.dim, dtype, t, f"layer{i}.attn")
-        _ln_weights(cfg.dim, dtype, t, f"layer{i}.ln2")
-        _ff_weights(rng, cfg.dim, cfg.ff_dim, dtype, t, f"layer{i}.ff")
-    _ln_weights(cfg.dim, dtype, t, "final_ln")
-    return EncoderParams(t)
+    if embed_table is not None and embed_table.shape != (cfg.src_vocab, cfg.emb_dim):
+        raise ConfigError(
+            f"embedding table shape {embed_table.shape} does not match "
+            f"(src_vocab, emb_dim)=({cfg.src_vocab}, {cfg.emb_dim})"
+        )
+    return EncoderParams(_init_group(cfg, "encoder", rng, dtype, embed_table))
 
 
 def init_decoder_params(cfg: ModelConfig, rng: np.random.Generator,
                         dtype=np.float64) -> DecoderParams:
-    t: dict[str, Tensor] = {}
-    t["embed"] = _param(rng.normal(0.0, cfg.emb_dim ** -0.5,
-                                   size=(cfg.tgt_vocab, cfg.emb_dim)).astype(dtype))
-    t["in_w"] = _param(_glorot(rng, cfg.emb_dim, cfg.dim, dtype))
-    t["in_b"] = _param(np.zeros(cfg.dim, dtype=dtype))
-    for i in range(cfg.depth):
-        _ln_weights(cfg.dim, dtype, t, f"layer{i}.ln1")
-        _attn_weights(rng, cfg.dim, dtype, t, f"layer{i}.self")
-        _ln_weights(cfg.dim, dtype, t, f"layer{i}.ln2")
-        _attn_weights(rng, cfg.dim, dtype, t, f"layer{i}.cross")
-        _ln_weights(cfg.dim, dtype, t, f"layer{i}.ln3")
-        _ff_weights(rng, cfg.dim, cfg.ff_dim, dtype, t, f"layer{i}.ff")
-    _ln_weights(cfg.dim, dtype, t, "final_ln")
-    t["out_w"] = _param(_glorot(rng, cfg.dim, cfg.tgt_vocab, dtype))
-    t["out_b"] = _param(np.zeros(cfg.tgt_vocab, dtype=dtype))
-    return DecoderParams(t)
+    return DecoderParams(_init_group(cfg, "decoder", rng, dtype))
 
 
 def init_projection_params(cfg: ModelConfig, rng: np.random.Generator,
                            dtype=np.float64) -> ProjectionParams:
-    h, d = cfg.dim, cfg.proj_dim
-    t: dict[str, Tensor] = {
-        "w1": _param(_glorot(rng, h, d, dtype)),
-        "b1": _param(np.zeros(d, dtype=dtype)),
-        "w2": _param(_glorot(rng, d, d, dtype)),
-        "b2": _param(np.zeros(d, dtype=dtype)),
-        "w3": _param(_glorot(rng, d, d, dtype)),
-        "b3": _param(np.zeros(d, dtype=dtype)),
-    }
-    return ProjectionParams(t)
+    return ProjectionParams(_init_group(cfg, "projection", rng, dtype))
 
 
 # -- representation records ------------------------------------------------------

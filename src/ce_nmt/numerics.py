@@ -10,6 +10,12 @@ Conventions:
   - non-finite values raise ``NumericError`` at construction time,
   - boolean masks are plain numpy arrays, never Tensors,
   - inside ``no_grad()`` operations record no tape: results have no parents,
+  - gradients are passed by reference: a backward function may hand the
+    same array (or a view of it) to several parents, and ``_accumulate``
+    stores the first gradient a tensor receives as is. So once an array is
+    stored in a ``.grad``, nothing writes into it in place: backward
+    functions, ``embedding_lookup``'s scatter and the optimizer all build
+    new arrays,
   - masked softmax / pooling exclude masked positions exactly (weight 0),
     so mask-invariance holds bitwise at 64-bit.
 """
@@ -181,11 +187,18 @@ def _result(values: np.ndarray, parents: tuple[Tensor, ...],
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad`` without writing into either array.
+
+    The sum on fan-in is computed as ``t.grad + g`` and cast to the tensor's
+    dtype, which rounds exactly like an in-place ``+=`` into a buffer of that
+    dtype.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        t.grad = g if g.dtype == t.values.dtype else g.astype(t.values.dtype)
+    else:
+        t.grad = (t.grad + g).astype(t.values.dtype, copy=False)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -447,9 +460,11 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     def backward(g):
         if not table.requires_grad:
             return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.values)
-        np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        # Scatter into a copy of the gradient so far: one buffer per lookup,
+        # summed afterwards, would change the order of the additions.
+        grad = np.zeros_like(table.values) if table.grad is None else table.grad.copy()
+        np.add.at(grad, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        table.grad = grad
 
     return _result(out_values, (table,), backward)
 

@@ -24,7 +24,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -91,19 +91,35 @@ class AdamOptimizer:
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient for parameter {k}")
             grads[k] = g
-            sq_sum += float((g.astype(np.float64) ** 2).sum())
+            sq_sum += float((g.astype(np.float64, copy=False) ** 2).sum())
         norm = math.sqrt(sq_sum)
         scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
         rate = self.rate(self.step_count)
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
         for k, t in self.params.items():
-            g = grads[k] * scale
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[k] / bc1
-            v_hat = self.v[k] / bc2
-            t.values -= (rate * m_hat / (np.sqrt(v_hat) + self.eps)).astype(t.dtype)
+            # The moments are the optimizer's own and are updated in place;
+            # ``t.grad`` may be shared with other tape nodes and is only read.
+            # Every operation keeps the order and rounding of
+            #   m = beta1 * m + (1 - beta1) * g
+            #   v = beta2 * v + (1 - beta2) * g * g
+            #   values -= rate * (m / bc1) / (sqrt(v / bc2) + eps)
+            g = grads[k] if scale == 1.0 else grads[k] * scale
+            m, v = self.m[k], self.v[k]
+            scratch = np.multiply(g, 1.0 - self.beta1)
+            m *= self.beta1
+            m += scratch
+            np.multiply(g, 1.0 - self.beta2, out=scratch)
+            scratch *= g
+            v *= self.beta2
+            v += scratch
+            np.divide(v, bc2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            update = np.divide(m, bc1)
+            update *= rate
+            update /= scratch
+            t.values -= update
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -261,16 +277,6 @@ def _write_array(buf: io.BytesIO, name: str, values: np.ndarray) -> None:
     buf.write(np.ascontiguousarray(clamped, dtype="<f4").tobytes())
 
 
-def _read_array(buf: io.BytesIO) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<I", buf.read(4))
-    name = buf.read(name_len).decode("utf-8")
-    (ndim,) = struct.unpack("<I", buf.read(4))
-    shape = tuple(struct.unpack("<I", buf.read(4))[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    values = np.frombuffer(buf.read(4 * count), dtype="<f4").reshape(shape)
-    return name, values
-
-
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     """Serialize: magic, version, JSON header, then named float32 tensors."""
     groups = [("encoder", ckpt.encoder)]
@@ -305,37 +311,79 @@ def save_checkpoint(ckpt: Checkpoint, path) -> Path:
     return path
 
 
+class _Reader:
+    """Reads a checkpoint blob; a short read is a malformed file."""
+
+    def __init__(self, raw: bytes, source):
+        self.raw, self.pos, self.source = raw, 0, source
+
+    def take(self, n: int) -> bytes:
+        if n > len(self.raw) - self.pos:
+            raise ConfigError(f"{self.source}: checkpoint is truncated")
+        out = self.raw[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+    def uint(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+
+def _read_header(reader: _Reader) -> tuple[ModelConfig, str, int, int, list[str]]:
+    try:
+        header = json.loads(reader.take(reader.uint()).decode("utf-8"))
+        cfg = ModelConfig.from_dict(header["config"])
+        stage, seed, step, groups = (header[k] for k in ("stage", "seed", "step", "groups"))
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{reader.source}: malformed checkpoint header: {exc}") from exc
+    ints = [seed, step] + [getattr(cfg, f.name) for f in fields(cfg) if f.type in ("int", int)]
+    if not all(type(x) is int for x in ints):
+        raise ConfigError(f"{reader.source}: checkpoint sizes, seed and step must be integers")
+    if not isinstance(groups, list) or "encoder" not in groups \
+            or groups != [g for g in M.GROUPS if g in groups]:
+        raise ConfigError(f"{reader.source}: malformed checkpoint groups {groups!r}")
+    return cfg, stage, seed, step, groups
+
+
 def load_checkpoint(path, dtype=np.float64) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    buf = io.BytesIO(raw)
-    if buf.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-        raise ConfigError(f"{path} is not a checkpoint file")
-    (version,) = struct.unpack("<I", buf.read(4))
+    return parse_checkpoint(Path(path).read_bytes(), dtype, source=path)
+
+
+def parse_checkpoint(raw: bytes, dtype=np.float64, source="checkpoint") -> Checkpoint:
+    """Inverse of ``checkpoint_bytes``; any malformed input raises ``ConfigError``.
+
+    Every group must hold exactly the tensors that ``model.param_layout``
+    gives for the stored config, with their shapes, in order, and finite.
+    ``source`` names the input in error messages.
+    """
+    reader = _Reader(raw, source)
+    if reader.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+        raise ConfigError(f"{source} is not a checkpoint file")
+    version = reader.uint()
     if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack("<I", buf.read(4))
-    header = json.loads(buf.read(header_len).decode("utf-8"))
-    arrays: dict[str, np.ndarray] = {}
-    while buf.tell() < len(raw):
-        name, values = _read_array(buf)
-        arrays[name] = values
-
-    def group(prefix: str, cls):
-        tensors = {
-            name[len(prefix) + 1:]: Tensor(values.astype(dtype), requires_grad=True)
-            for name, values in arrays.items()
-            if name.startswith(prefix + ".")
-        }
-        return cls(tensors) if tensors else None
-
+        raise ConfigError(f"{source}: unsupported checkpoint version {version}")
+    cfg, stage, seed, step, group_names = _read_header(reader)
+    groups = {}
+    for group_name in group_names:
+        tensors = {}
+        for name, shape, _ in M.param_layout(cfg, group_name):
+            full = f"{group_name}.{name}"
+            if reader.take(reader.uint()) != full.encode("utf-8") or reader.uint() != len(shape) \
+                    or tuple(reader.uint() for _ in shape) != shape:
+                raise ConfigError(f"{source}: expected tensor {full} of shape {shape}")
+            count = math.prod(shape)
+            values = np.frombuffer(reader.take(4 * count), dtype="<f4").reshape(shape)
+            try:
+                tensors[name] = Tensor(values.astype(dtype), requires_grad=True)
+            except NumericError as exc:
+                raise ConfigError(f"{source}: tensor {full}: {exc}") from exc
+        groups[group_name] = tensors
+    if reader.pos != len(reader.raw):
+        raise ConfigError(f"{source}: unexpected bytes after the last tensor")
     return Checkpoint(
-        config=ModelConfig.from_dict(header["config"]),
-        stage=header["stage"],
-        seed=header["seed"],
-        step=header["step"],
-        encoder=group("encoder", EncoderParams),
-        decoder=group("decoder", DecoderParams),
-        projection=group("projection", ProjectionParams),
+        config=cfg, stage=stage, seed=seed, step=step,
+        encoder=EncoderParams(groups["encoder"]),
+        decoder=DecoderParams(groups["decoder"]) if "decoder" in groups else None,
+        projection=ProjectionParams(groups["projection"]) if "projection" in groups else None,
     )
 
 
@@ -377,6 +425,14 @@ class CEConfig:
 # -- stage loops -------------------------------------------------------------------
 
 
+def _diverged(message: str, diag: Checkpoint, out_dir: Path | None,
+              name: str) -> DivergenceError:
+    """The error a stage raises on non-finite values, after saving ``diag``
+    as ``out_dir / name`` when there is an ``out_dir``."""
+    path = save_checkpoint(diag, out_dir / name) if out_dir is not None else None
+    return DivergenceError(message, checkpoint_path=path)
+
+
 def _translation_steps(cfg: ModelConfig, corpus: ParallelCorpus, vocab_src: Vocabulary,
                        vocab_tgt: Vocabulary, enc: EncoderParams, dec: DecoderParams,
                        seed: int, steps: int, batch_size: int, lr: float, warmup: int,
@@ -402,12 +458,9 @@ def _translation_steps(cfg: ModelConfig, corpus: ParallelCorpus, vocab_src: Voca
                 loss.backward()
                 optimizer.step()
             except NumericError as exc:
-                diag_path = None
-                if out_dir is not None:
-                    diag = Checkpoint(cfg, stage, seed, step, enc, decoder=dec)
-                    diag_path = save_checkpoint(diag, Path(out_dir) / f"diverged-{step}.ckpt")
-                raise DivergenceError(f"{stage} diverged at step {step}: {exc}",
-                                      checkpoint_path=diag_path) from exc
+                raise _diverged(f"{stage} diverged at step {step}: {exc}",
+                                Checkpoint(cfg, stage, seed, step, enc, decoder=dec),
+                                out_dir, f"diverged-{step}.ckpt") from exc
             step += 1
             if metrics is not None:
                 metrics.write(stage, step, loss.item())
@@ -462,7 +515,9 @@ def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabu
     snapshot.
 
     The stage aborts with ``CollapseError`` once the monitor reports collapse
-    for ``COLLAPSE_PATIENCE`` consecutive batches.
+    for ``COLLAPSE_PATIENCE`` consecutive batches, and with ``DivergenceError``
+    on non-finite values (after saving ``diverged-<epoch>.ckpt`` to
+    ``out_dir``).
     """
     if start.encoder is None:
         raise ConfigError("context enhancement requires encoder parameters")
@@ -485,16 +540,22 @@ def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabu
                                 max_len=cfg.max_len, shuffle=True, seed=seed + 1000 + epoch):
             if batch.size < 2:
                 continue
-            lat_s = M.encode(batch.source_ids, batch.source_mask, enc, cfg)
-            lat_t = M.encode(batch.target_ids, batch.target_mask, enc, cfg)
-            sig_s = M.pool(lat_s, ce_cfg.pooling)
-            sig_t = M.pool(lat_t, ce_cfg.pooling)
-            z_s = M.project(sig_s, proj)
-            z_t = M.project(sig_t, proj)
-            breakdown = barlow_twins_loss(z_s, z_t, lam=ce_cfg.lam)
-            optimizer.zero_grad()
-            breakdown.loss.backward()
-            optimizer.step()
+            try:
+                lat_s = M.encode(batch.source_ids, batch.source_mask, enc, cfg)
+                lat_t = M.encode(batch.target_ids, batch.target_mask, enc, cfg)
+                sig_s = M.pool(lat_s, ce_cfg.pooling)
+                sig_t = M.pool(lat_t, ce_cfg.pooling)
+                z_s = M.project(sig_s, proj)
+                z_t = M.project(sig_t, proj)
+                breakdown = barlow_twins_loss(z_s, z_t, lam=ce_cfg.lam)
+                optimizer.zero_grad()
+                breakdown.loss.backward()
+                optimizer.step()
+            except NumericError as exc:
+                raise _diverged(f"ce diverged in epoch {epoch}: {exc}",
+                                Checkpoint(cfg, "ce", seed, epoch, enc, decoder=dec,
+                                           projection=proj),
+                                out_dir, f"diverged-{epoch}.ckpt") from exc
             totals += (breakdown.total, breakdown.invariance_term, breakdown.redundancy_term)
             batches += 1
             last_corr = breakdown.correlation.values

@@ -96,3 +96,29 @@ def greedy_decode_reference(encoder, decoder, cfg, src_ids, src_mask, max_len=No
             tokens.append(int(idx))
         outputs.append(tokens)
     return outputs
+
+
+def adam_step_reference(values, grads, m, v, step, lr, warmup,
+                        beta1=0.9, beta2=0.98, eps=1e-9, clip_norm=1.0):
+    """One Adam step written out with a new array per operation.
+
+    ``values``, ``grads``, ``m`` and ``v`` are dicts of arrays keyed alike;
+    none is modified. Returns the new (values, m, v) dicts.
+    """
+    sq_sum = 0.0
+    for g in grads.values():
+        sq_sum += float((g.astype(np.float64) ** 2).sum())
+    norm = math.sqrt(sq_sum)
+    scale = clip_norm / norm if norm > clip_norm else 1.0
+    rate = lr * min(step / warmup, math.sqrt(warmup / step))
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    new_values, new_m, new_v = {}, {}, {}
+    for k, x in values.items():
+        g = grads[k] * scale
+        new_m[k] = beta1 * m[k] + (1.0 - beta1) * g
+        new_v[k] = beta2 * v[k] + (1.0 - beta2) * g * g
+        m_hat = new_m[k] / bc1
+        v_hat = new_v[k] / bc2
+        new_values[k] = x - (rate * m_hat / (np.sqrt(v_hat) + eps)).astype(x.dtype)
+    return new_values, new_m, new_v

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ce_nmt import cli
@@ -115,6 +116,16 @@ def test_cmd_finetune_missing_checkpoint_exits_2(toy_files):
     code = cli.main(["finetune", "--source", src, "--target", tgt,
                      "--checkpoint", str(tmp / "nope.ckpt"), "--out", str(tmp / "o")])
     assert code == 2
+
+
+def test_cmd_ce_divergence_exits_4_with_checkpoint(toy_files):
+    tmp, src, tgt = toy_files
+    out = tmp / "ce_div"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["ce", "--source", src, "--target", tgt, "--out", str(out),
+                         "--epochs", "2", "--seed", "1", *SMALL_MODEL, "--lr", "1e200"])
+    assert code == 4
+    assert TR.load_checkpoint(next(out.glob("diverged-*.ckpt"))).stage == "ce"
 
 
 def test_train_then_ce_then_finetune_chain(toy_files):

@@ -176,6 +176,65 @@ def test_embedding_repeated_ids_gradients_sum():
     assert err < 1e-8
 
 
+def test_embedding_scatter_order_over_two_lookups():
+    # Backward reaches the lookups in call order; the gradient must be the
+    # one scatter over both id sets in that order, bit for bit. Summing one
+    # buffer per lookup afterwards rounds differently.
+    rng = np.random.default_rng(5)
+    table = T(rng.normal(size=(4, 3)))
+    ids = [rng.integers(0, 4, size=(6, 5)), rng.integers(0, 4, size=(7, 5))]
+    weights = [rng.normal(size=(6, 5, 3)), rng.normal(size=(7, 5, 3))]
+    loss = (N.embedding_lookup(table, ids[0]) * weights[0]).sum() \
+        + (N.embedding_lookup(table, ids[1]) * weights[1]).sum()
+    loss.backward()
+    expected = np.zeros((4, 3))
+    np.add.at(expected, np.concatenate([i.reshape(-1) for i in ids]),
+              np.concatenate([w.reshape(-1, 3) for w in weights]))
+    assert table.grad.tobytes() == expected.tobytes()
+
+
+# -- gradient ownership ---------------------------------------------------------------
+
+def test_gradients_are_never_written_in_place():
+    from ce_nmt.training import AdamOptimizer
+
+    rng = np.random.default_rng(2)
+    x, w = T(rng.normal(size=(3, 4))), T(rng.normal(size=(4, 2)))
+    table, ids = T(rng.normal(size=(5, 2))), np.array([0, 3, 0])
+
+    def forward():
+        y = N.matmul(x, w) + N.embedding_lookup(table, ids)
+        z = y + y                      # add hands one array to both parents
+        r = z.reshape(6)               # reshape hands on a view
+        return (r * r).sum() + (x * x).sum(), (y, z, r)
+
+    loss, nodes = forward()
+    loss.backward()
+    tensors = (x, w, table, *nodes)
+    captured = [t.grad for t in tensors]
+    snapshot = [g.copy() for g in captured]
+    forward()[0].backward()            # accumulates into the shared leaves
+    for g, before in zip(captured, snapshot):
+        assert g.tobytes() == before.tobytes()
+    assert np.allclose(x.grad, 2.0 * snapshot[0], rtol=1e-14, atol=0.0)
+    current = [x.grad, w.grad, table.grad]
+    current_snapshot = [g.copy() for g in current]
+    AdamOptimizer({"x": x, "w": w, "table": table}, lr=0.1, warmup=1).step()
+    for g, before in zip(captured + current, snapshot + current_snapshot):
+        assert g.tobytes() == before.tobytes()
+
+
+def test_fan_in_of_three_consumers_sums_gradients():
+    x = T(np.array([[1.0, -2.0], [3.0, 0.5]]))
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    b = np.array([[-5.0, 0.25], [2.0, 8.0]])
+    s = x + x                          # two of the three uses share one array
+    loss = (s * a).sum() + (x * b).sum()
+    loss.backward()
+    assert np.array_equal(x.grad, a + a + b)
+    assert np.array_equal(s.grad, a)   # the shared array was not added into
+
+
 # -- grad_check self-tests ----------------------------------------------------------
 
 def test_grad_check_sum():

@@ -6,9 +6,11 @@ import pytest
 from ce_nmt import model as M
 from ce_nmt import training as TR
 from ce_nmt.data import build_vocab
-from ce_nmt.errors import CollapseError, ConfigError, DivergenceError
+from ce_nmt.errors import CollapseError, ConfigError, DivergenceError, NumericError
 from ce_nmt.numerics import Tensor
 from ce_nmt.synthetic import make_cipher_corpus, make_identity_corpus
+
+from _oracles import adam_step_reference
 
 
 def tiny_setup(n_pairs=24, depth=1, dim=8, heads=2):
@@ -52,6 +54,76 @@ def test_adam_moves_against_gradient():
     opt.step()
     assert p["w"].values[0] < 1.0
     assert p["w"].values[1] > -1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("grad_scale", [10.0, 1e-3], ids=["clipped", "unclipped"])
+def test_adam_matches_reference_bitwise(dtype, grad_scale):
+    rng = np.random.default_rng(4)
+    shapes = {"w": (5, 3), "b": (3,), "e": (7, 2)}
+    params = {k: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+              for k, s in shapes.items()}
+    opt = TR.AdamOptimizer(params, lr=0.05, warmup=3)
+    values = {k: t.values.copy() for k, t in params.items()}
+    m = {k: np.zeros(s, dtype=dtype) for k, s in shapes.items()}
+    v = {k: np.zeros(s, dtype=dtype) for k, s in shapes.items()}
+    for step in range(1, 7):
+        grads = {k: (grad_scale * rng.normal(size=s)).astype(dtype) for k, s in shapes.items()}
+        norm = np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
+        assert (norm > opt.clip_norm) == (grad_scale > 1.0)
+        for k, t in params.items():
+            t.grad = grads[k]
+        given = {k: g.copy() for k, g in grads.items()}
+        opt.step()
+        values, m, v = adam_step_reference(values, grads, m, v, step, lr=0.05, warmup=3)
+        for k, t in params.items():
+            assert t.grad.tobytes() == given[k].tobytes(), "step wrote into a gradient"
+            for got, want in ((t.values, values[k]), (opt.m[k], m[k]), (opt.v[k], v[k])):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_adam_non_finite_gradient_raises_before_any_update():
+    params = {k: Tensor(np.ones(3), requires_grad=True) for k in ("a", "b")}
+    opt = TR.AdamOptimizer(params, lr=0.1, warmup=1)
+    params["a"].grad = np.ones(3)
+    params["b"].grad = np.array([1.0, np.nan, 1.0])
+    with pytest.raises(NumericError, match="parameter b"):
+        opt.step()
+    for k, t in params.items():
+        assert np.array_equal(t.values, np.ones(3))
+        assert not opt.m[k].any() and not opt.v[k].any()
+
+
+@pytest.fixture
+def nan_in_one_gradient(monkeypatch):
+    """Make every optimizer step see a NaN in one entry of its first gradient;
+    the optimizer's check is the only finiteness check gradients get."""
+    step = TR.AdamOptimizer.step
+
+    def poisoned(self):
+        t = next(iter(self.params.values()))
+        g = t.grad.copy()
+        g.flat[0] = np.nan
+        t.grad = g
+        step(self)
+
+    monkeypatch.setattr(TR.AdamOptimizer, "step", poisoned)
+
+
+def test_nan_gradient_raises_divergence_with_checkpoint(tmp_path, nan_in_one_gradient):
+    cfg, corpus, vs, vt = tiny_setup()
+    with pytest.raises(DivergenceError) as exc_info:
+        TR.train_translation(cfg, corpus, vs, vt, seed=1, steps=3, batch_size=8,
+                             warmup=2, out_dir=tmp_path / "pre")
+    assert exc_info.value.checkpoint_path == tmp_path / "pre" / "diverged-0.ckpt"
+    assert TR.load_checkpoint(exc_info.value.checkpoint_path).stage == "pretrain"
+    start = TR.train_translation(cfg, corpus, vs, vt, seed=5, steps=0)
+    ce_cfg = TR.CEConfig(lam=5e-3, epochs=1, batch_size=8, proj_dim=4)
+    with pytest.raises(DivergenceError) as exc_info:
+        TR.context_enhance(start, corpus, vs, ce_cfg, seed=6, out_dir=tmp_path / "ce")
+    diag = TR.load_checkpoint(exc_info.value.checkpoint_path)
+    assert exc_info.value.checkpoint_path == tmp_path / "ce" / "diverged-0.ckpt"
+    assert diag.stage == "ce" and diag.decoder is not None and diag.projection is not None
 
 
 # -- stage 1 --------------------------------------------------------------------
@@ -157,6 +229,21 @@ def test_context_enhance_lambda_zero_redundancy_has_no_gradient():
     err = N.grad_check(invariance_only, [zs, zt])
     assert err < 1e-4
     assert np.max(np.abs(zs.grad - grad_total)) < 1e-12
+
+
+def test_context_enhance_divergence_detected(tmp_path):
+    cfg, corpus, vs, vt = tiny_setup()
+    start = TR.train_translation(cfg, corpus, vs, vt, seed=5, steps=0)
+    ce_cfg = TR.CEConfig(lam=5e-3, epochs=2, batch_size=8, proj_dim=4)
+    with pytest.raises(DivergenceError) as exc_info, \
+            np.errstate(over="ignore", invalid="ignore"):
+        TR.context_enhance(start, corpus, vs, ce_cfg, seed=6, lr=1e200, warmup=1,
+                           out_dir=tmp_path)
+    path = exc_info.value.checkpoint_path
+    assert path is not None and path.parent == tmp_path and path.name.startswith("diverged-")
+    diag = TR.load_checkpoint(path)
+    assert diag.stage == "ce"
+    assert diag.decoder is not None and diag.projection is not None
 
 
 def test_context_enhance_improves_alignment():
@@ -295,6 +382,64 @@ def test_checkpoint_format_v1_bytes_pinned():
     assert len(blob) == 9726
     assert hashlib.sha256(blob).hexdigest() == \
         "75adfea6d6205d9c5b6f52069f43002eb74eb5de48c69b559704dc80395a00af"
+
+
+def _small_checkpoint_bytes():
+    # Every group present, every tensor small: a few hundred loads a second.
+    cfg = M.ModelConfig(src_vocab=6, tgt_vocab=5, depth=1, dim=4, heads=2, ff_dim=4,
+                        proj_dim=2, emb_dim=2, max_len=4)
+    rng = np.random.default_rng(0)
+    ckpt = TR.Checkpoint(cfg, "finetune", 3, 7, M.init_encoder_params(cfg, rng),
+                         decoder=M.init_decoder_params(cfg, rng),
+                         projection=M.init_projection_params(cfg, rng))
+    return TR.checkpoint_bytes(ckpt)
+
+
+def test_checkpoint_truncated_at_every_offset_raises_config_error(tmp_path):
+    blob = _small_checkpoint_bytes()
+    for end in range(len(blob)):
+        with pytest.raises(ConfigError):
+            TR.parse_checkpoint(blob[:end])
+    with pytest.raises(ConfigError):
+        TR.parse_checkpoint(blob + b"\x00")
+    path = tmp_path / "cut.ckpt"
+    path.write_bytes(blob[:-1])
+    with pytest.raises(ConfigError, match="cut.ckpt"):
+        TR.load_checkpoint(path)
+    path.write_bytes(blob)
+    assert TR.checkpoint_bytes(TR.load_checkpoint(path)) == blob
+
+
+def test_checkpoint_single_byte_flips_load_or_raise_config_error():
+    blob = _small_checkpoint_bytes()
+    loaded = 0
+    for pos in range(len(blob)):
+        for mask in (0x01, 0x20, 0x80, 0xFF):
+            bad = bytearray(blob)
+            bad[pos] ^= mask
+            try:
+                TR.parse_checkpoint(bytes(bad))
+                loaded += 1
+            except ConfigError:
+                pass
+    assert loaded > 0      # flips inside tensor values still load
+
+
+def test_checkpoint_rejects_wrong_shape_and_non_finite_values(tmp_path):
+    cfg, corpus, vs, vt = tiny_setup()
+    ckpt = TR.train_translation(cfg, corpus, vs, vt, seed=9, steps=0)
+    wider = M.ModelConfig(**{**cfg.to_dict(), "ff_dim": cfg.ff_dim + 1})
+    path = tmp_path / "bad.ckpt"
+    blob = TR.checkpoint_bytes(TR.Checkpoint(wider, "pretrain", 9, 0, ckpt.encoder,
+                                             decoder=ckpt.decoder))
+    path.write_bytes(blob)
+    with pytest.raises(ConfigError, match="layer0.ff.w1"):
+        TR.load_checkpoint(path)
+    blob = bytearray(TR.checkpoint_bytes(ckpt))
+    blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigError, match="non-finite"):
+        TR.load_checkpoint(path)
 
 
 # -- pipeline ----------------------------------------------------------------------------
