@@ -225,15 +225,16 @@ class DecodeCache:
 
     ``length`` target positions are decoded so far, with their key mask
     (B, length). Per layer it holds the self-attention keys and values of
-    those positions, (B, length, dim) each, and the cross-attention keys and
-    values of the latent, computed on the first call. Everything is a plain
-    array, so no gradient can flow through the cache.
+    those positions, (B, length, dim) arrays each, and the cross-attention
+    key and value Tensors of the latent, built on the first call and reused
+    as they are. Cached decoding runs under ``numerics.no_grad()``, so none
+    of these has a parent and no gradient can flow through the cache.
     """
 
     length: int = 0
     mask: np.ndarray | None = None
     self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    cross_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    cross_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
 
 
 # -- building blocks ---------------------------------------------------------------
@@ -247,17 +248,6 @@ def sinusoidal_positions(t: int, dim: int, dtype=np.float64) -> np.ndarray:
     return pe.astype(dtype)
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    lead = x.shape[:-1]
-    flat = x.reshape((-1, x.shape[-1])) if len(x.shape) != 2 else x
-    out = N.matmul(flat, w)
-    if b is not None:
-        out = out + b
-    if len(lead) != 1:
-        out = out.reshape((*lead, w.shape[1]))
-    return out
-
-
 def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     if rate <= 0.0 or rng is None:
         return x
@@ -269,47 +259,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
               num_heads: int, capture: list | None = None) -> Tensor:
     """Scaled dot-product attention over ``num_heads`` heads.
 
-    q: (B, tq, h), k/v: (B, tk, h); h must divide evenly into heads.
-    ``mask`` is boolean, (B, tk) for key padding or (B, tq, tk) for a full
-    pattern; masked keys get exactly zero weight. When ``capture`` is given,
-    the per-head weight array (B, heads, tq, tk) is appended to it.
+    q: (B, tq, h), k/v: (B, tk, h); h must divide evenly into heads
+    (``ShapeError`` otherwise). ``mask`` is boolean, (B, tk) for key padding
+    or (B, tq, tk) for a full pattern; masked keys get exactly zero weight.
+    When ``capture`` is given, the per-head weight array (B, heads, tq, tk)
+    is appended to it. One tape node: ``numerics.multi_head_attention``.
     """
-    B, tq, h = q.shape
-    tk = k.shape[1]
-    if h % num_heads != 0:
-        raise ConfigError(f"model dim {h} not divisible by {num_heads} heads")
-    hd = h // num_heads
-
-    def split(x: Tensor, t: int) -> Tensor:
-        return x.reshape((B, t, num_heads, hd)).transpose(0, 2, 1, 3).reshape((B * num_heads, t, hd))
-
-    q3, k3, v3 = split(q, tq), split(k, tk), split(v, tk)
-    scores = N.matmul(q3, k3.transpose(0, 2, 1)) * (1.0 / math.sqrt(hd))
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim == 2:
-        mask = mask[:, None, :]
-    full = np.broadcast_to(mask[:, None, :, :], (B, num_heads, tq, tk)).reshape(B * num_heads, tq, tk)
-    weights = N.masked_softmax(scores, full, axis=-1)
-    if capture is not None:
-        capture.append(weights.values.reshape(B, num_heads, tq, tk).copy())
-    merged = N.matmul(weights, v3)
-    return merged.reshape((B, num_heads, tq, hd)).transpose(0, 2, 1, 3).reshape((B, tq, h))
+    return N.multi_head_attention(q, k, v, mask, num_heads, capture)
 
 
 def _keys_values(x: Tensor, params: ParamGroup, prefix: str) -> tuple[Tensor, Tensor]:
-    return _linear(x, params[f"{prefix}.wk"]), _linear(x, params[f"{prefix}.wv"])
+    return N.linear(x, params[f"{prefix}.wk"]), N.linear(x, params[f"{prefix}.wv"])
 
 
 def _mha_layer(x_q: Tensor, kv: tuple[Tensor, Tensor], params: ParamGroup, prefix: str,
                mask: np.ndarray, cfg: ModelConfig, capture: list | None) -> Tensor:
-    q = _linear(x_q, params[f"{prefix}.wq"])
+    q = N.linear(x_q, params[f"{prefix}.wq"])
     out = attention(q, *kv, mask, cfg.heads, capture)
-    return _linear(out, params[f"{prefix}.wo"])
+    return N.linear(out, params[f"{prefix}.wo"])
 
 
 def _ff(x: Tensor, params: ParamGroup, prefix: str) -> Tensor:
-    hidden = N.relu(_linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return _linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    hidden = N.relu(N.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    return N.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _ln(x: Tensor, params: ParamGroup, prefix: str) -> Tensor:
@@ -320,7 +292,7 @@ def _embed_inputs(ids: np.ndarray, params: ParamGroup, cfg: ModelConfig,
                   rng: np.random.Generator | None, start: int = 0) -> Tensor:
     """Embed ids (B, t) that sit at positions start .. start + t - 1."""
     emb = N.embedding_lookup(params["embed"], ids)
-    x = _linear(emb, params["in_w"], params["in_b"]) * math.sqrt(cfg.dim)
+    x = N.linear(emb, params["in_w"], params["in_b"]) * math.sqrt(cfg.dim)
     pe = sinusoidal_positions(start + ids.shape[1], cfg.dim, dtype=x.dtype)[start:]
     x = x + pe[None, :, :]
     return _dropout(x, cfg.dropout, rng)
@@ -400,7 +372,7 @@ def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
                          cfg.dropout, rng)
         y = _ln(x, params, f"layer{i}.ln2")
         if start:
-            kv = tuple(Tensor(a) for a in cache.cross_kv[i])
+            kv = cache.cross_kv[i]
         else:
             kv = _keys_values(latent.values, params, f"layer{i}.cross")
         cross_kv.append(kv)
@@ -410,9 +382,9 @@ def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
     if cache is not None:
         cache.length, cache.mask = start + t2, key_mask
         cache.self_kv = [(k.values, v.values) for k, v in self_kv]
-        cache.cross_kv = [(k.values, v.values) for k, v in cross_kv]
+        cache.cross_kv = cross_kv
     x = _ln(x, params, "final_ln")
-    return _linear(x, params["out_w"], params["out_b"])
+    return N.linear(x, params["out_w"], params["out_b"])
 
 
 def pool(latent: LatentSequence, kind: str) -> SentenceEmbedding:
@@ -430,6 +402,6 @@ def project(sigma: SentenceEmbedding, params: ProjectionParams) -> Tensor:
     The final layer is bare: the loss pipeline applies its own batch norm.
     """
     x = sigma.values
-    x = N.relu(N.batch_norm_train(_linear(x, params["w1"], params["b1"])))
-    x = N.relu(N.batch_norm_train(_linear(x, params["w2"], params["b2"])))
-    return _linear(x, params["w3"], params["b3"])
+    x = N.relu(N.batch_norm_train(N.linear(x, params["w1"], params["b1"])))
+    x = N.relu(N.batch_norm_train(N.linear(x, params["w2"], params["b2"])))
+    return N.linear(x, params["w3"], params["b3"])

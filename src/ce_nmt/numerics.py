@@ -7,7 +7,11 @@ central finite differences.
 
 Conventions:
   - values are float32 or float64 numpy arrays (float64 in tests),
-  - non-finite values raise ``NumericError`` at construction time,
+  - non-finite values raise ``NumericError`` at construction time. The
+    fused ops ``linear`` and ``multi_head_attention`` are one tape node
+    each, so their output Tensor is checked; attention also checks its raw
+    scores before masking, so an overflow hidden under the mask still
+    raises,
   - boolean masks are plain numpy arrays, never Tensors,
   - inside ``no_grad()`` operations record no tape: results have no parents,
   - gradients are passed by reference: a backward function may hand the
@@ -23,6 +27,7 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from typing import Callable, Iterator, Sequence
 
@@ -73,6 +78,11 @@ def _as_float_array(values) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
+def _check_finite(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise NumericError("non-finite values in tensor")
+
+
 class Tensor:
     """Dense n-dimensional array with an optional gradient.
 
@@ -84,8 +94,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False):
         arr = _as_float_array(values)
-        if not np.isfinite(arr).all():
-            raise NumericError("non-finite values in tensor")
+        _check_finite(arr)
         self.values = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -358,7 +367,52 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_values, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x`` (any number of leading axes).
+
+    One tape node. Leading axes are flattened into one for a single 2-D
+    product, the way a reshape / matmul / add / reshape chain computes it.
+    """
+    xv, wv = x.values, w.values
+    if wv.ndim != 2 or xv.ndim < 1 or xv.shape[-1] != wv.shape[0]:
+        raise ShapeError(f"linear expects (..., n) x (n, m), got {x.shape} and {w.shape}")
+    flat = xv if xv.ndim == 2 else xv.reshape((-1, xv.shape[-1]))
+    out_values = flat @ wv
+    if b is not None:
+        out_values = out_values + b.values
+    flat_shape = out_values.shape
+    if xv.ndim != 2:
+        out_values = out_values.reshape((*xv.shape[:-1], wv.shape[1]))
+
+    def backward(g):
+        if xv.ndim != 2:
+            g = g.reshape(flat_shape)
+        if b is not None:
+            _accumulate(b, _unbroadcast(g, b.shape))
+        gx = g @ wv.swapaxes(-1, -2)
+        _accumulate(w, flat.swapaxes(-1, -2) @ g)
+        _accumulate(x, gx if xv.ndim == 2 else gx.reshape(xv.shape))
+
+    return _result(out_values, (x, w) if b is None else (x, w, b), backward)
+
+
 # -- softmax family -----------------------------------------------------------
+
+
+def _softmax_values(values: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along ``axis`` with exactly zero weight where ``mask`` (of
+    ``values``' shape) is False; a row with no valid position raises."""
+    if not mask.any(axis=axis).all():
+        raise DegenerateInputError("masked_softmax: a row has no unmasked position")
+    scores = np.where(mask, values, -np.inf)
+    shifted = scores - scores.max(axis=axis, keepdims=True)
+    exps = np.exp(shifted)
+    return exps / exps.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    inner = (g * out).sum(axis=axis, keepdims=True)
+    return out * (g - inner)
 
 
 def masked_softmax(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
@@ -368,18 +422,72 @@ def masked_softmax(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     valid position raise ``DegenerateInputError``.
     """
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
-    if not mask.any(axis=axis).all():
-        raise DegenerateInputError("masked_softmax: a row has no unmasked position")
-    scores = np.where(mask, a.values, -np.inf)
-    shifted = scores - scores.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    out_values = exps / exps.sum(axis=axis, keepdims=True)
+    out_values = _softmax_values(a.values, mask, axis)
 
     def backward(g):
-        inner = (g * out_values).sum(axis=axis, keepdims=True)
-        _accumulate(a, out_values * (g - inner))
+        _accumulate(a, _softmax_grad(out_values, g, axis))
 
     return _result(out_values, (a,), backward)
+
+
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
+                         num_heads: int, capture: list | None = None) -> Tensor:
+    """Scaled dot-product attention over ``num_heads`` heads, one tape node.
+
+    q: (B, tq, h), k/v: (B, tk, h). ``mask`` is boolean, (B, tk) for key
+    padding or (B, tq, tk) for a full pattern; masked keys get exactly zero
+    weight. When ``capture`` is given, the weights (B, heads, tq, tk) are
+    appended to it. The raw scores are checked for finiteness before the
+    mask is applied. Heads are split, scored, softmaxed and merged with the
+    numpy calls and array layouts of the equivalent chain of primitive ops,
+    and the backward hands out the same arrays, so results match it bitwise.
+    """
+    qv, kv, vv = q.values, k.values, v.values
+    if qv.ndim != 3 or kv.shape != vv.shape or kv.ndim != 3 \
+            or qv.shape[0] != kv.shape[0] or qv.shape[2] != kv.shape[2]:
+        raise ShapeError(f"attention expects q (B, tq, h) and k, v (B, tk, h), "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    B, tq, h = qv.shape
+    tk = kv.shape[1]
+    if h % num_heads != 0:
+        raise ShapeError(f"model dim {h} not divisible by {num_heads} heads")
+    hd = h // num_heads
+
+    def split(x: np.ndarray, t: int) -> np.ndarray:
+        heads = np.ascontiguousarray(np.transpose(x.reshape((B, t, num_heads, hd)), (0, 2, 1, 3)))
+        return heads.reshape((B * num_heads, t, hd))
+
+    def merge(x: np.ndarray, t: int) -> np.ndarray:
+        return np.transpose(x.reshape((B, num_heads, t, hd)), (0, 2, 1, 3)).reshape((B, t, h))
+
+    q3, k3, v3 = split(qv, tq), split(kv, tk), split(vv, tk)
+    k3t = np.ascontiguousarray(np.transpose(k3, (0, 2, 1)))
+    scale = np.asarray(1.0 / math.sqrt(hd), dtype=qv.dtype)
+    scores = (q3 @ k3t) * scale
+    _check_finite(scores)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim == 2:
+        mask = mask[:, None, :]
+    full = np.broadcast_to(mask[:, None, :, :], (B, num_heads, tq, tk))
+    weights = _softmax_values(scores.reshape((B, num_heads, tq, tk)), full, -1)
+    if capture is not None:
+        capture.append(weights.copy())
+    weights = weights.reshape((B * num_heads, tq, tk))
+    out_values = np.ascontiguousarray(merge(weights @ v3, tq))
+
+    def backward(g):
+        g_heads = np.transpose(g.reshape((B, tq, num_heads, hd)), (0, 2, 1, 3))
+        g_heads = g_heads.reshape((B * num_heads, tq, hd))
+        g_weights = g_heads @ v3.swapaxes(-1, -2)
+        g_v3 = weights.swapaxes(-1, -2) @ g_heads
+        g_scores = _softmax_grad(weights, g_weights, -1) * scale
+        g_q3 = g_scores @ k3t.swapaxes(-1, -2)
+        g_k3 = np.transpose(q3.swapaxes(-1, -2) @ g_scores, (0, 2, 1))
+        _accumulate(q, merge(g_q3, tq))
+        _accumulate(k, merge(g_k3, tk))
+        _accumulate(v, merge(g_v3, tk))
+
+    return _result(out_values, (q, k, v), backward)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -397,21 +505,36 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 # -- normalization -------------------------------------------------------------
 
 
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)`` computed as numpy computes it: a
+    sum, then an in-place division by the ``np.intp`` count."""
+    total = a.sum(axis=-1, keepdims=True)
+    return np.true_divide(total, np.intp(a.shape[-1]), out=total, casting="unsafe")
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The mean is computed once and ``x - mean`` serves both the variance and
+    the normalized values, with the same arithmetic as ``np.mean`` and
+    ``np.var``. In-place writes go only into this op's own temporaries.
+    """
     if eps <= 0:
         raise NumericError("layer_norm requires eps > 0")
-    mu = x.values.mean(axis=-1, keepdims=True)
-    var = x.values.var(axis=-1, keepdims=True)
+    centered = x.values - _mean_last(x.values)
+    var = _mean_last(np.square(centered))
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.values - mu) * inv
+    xhat = np.multiply(centered, inv, out=centered)
     out_values = xhat * gain.values + bias.values
 
     def backward(g):
         gx = g * gain.values
-        term = gx - gx.mean(axis=-1, keepdims=True) \
-            - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, term * inv)
+        mean_gx = _mean_last(gx)
+        prod = gx * xhat
+        mean_prod = _mean_last(prod)
+        np.subtract(gx, mean_gx, out=gx)
+        np.subtract(gx, np.multiply(xhat, mean_prod, out=prod), out=gx)
+        _accumulate(x, np.multiply(gx, inv, out=gx))
         lead = tuple(range(g.ndim - 1))
         _accumulate(gain, (g * xhat).sum(axis=lead))
         _accumulate(bias, g.sum(axis=lead))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass, fields
@@ -305,9 +306,21 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> Path:
+    """Write ``ckpt`` atomically: the bytes go to a temporary file in the
+    target directory, which then replaces ``path``. A failed write leaves any
+    earlier file at ``path`` as it was and removes the temporary file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(checkpoint_bytes(ckpt))
+    blob = checkpoint_bytes(ckpt)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

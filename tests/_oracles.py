@@ -2,9 +2,13 @@
 
 These deliberately re-derive every quantity with explicit Python loops and
 never import package internals beyond numpy, so they stay independent of the
-code paths they check. ``greedy_decode_reference`` is the one exception: it
-drives the package's uncached ``decode`` on the whole prefix at every step,
-the plain greedy loop that incremental decoding must reproduce.
+code paths they check. The exceptions are references that a faster package
+path must reproduce bit for bit: ``greedy_decode_reference`` drives the
+package's uncached ``decode`` on the whole prefix at every step, and
+``linear_reference`` / ``attention_reference`` compose the primitive tape
+ops that the fused ``numerics.linear`` and ``numerics.multi_head_attention``
+replace. ``layer_norm_reference`` is layer norm with ``np.mean`` and
+``np.var``.
 """
 
 import math
@@ -12,6 +16,7 @@ import math
 import numpy as np
 
 from ce_nmt import model as M
+from ce_nmt import numerics as N
 from ce_nmt.data import BOS, EOS, PAD
 
 BN_EPS = 1e-5
@@ -122,3 +127,53 @@ def adam_step_reference(values, grads, m, v, step, lr, warmup,
         v_hat = new_v[k] / bc2
         new_values[k] = x - (rate * m_hat / (np.sqrt(v_hat) + eps)).astype(x.dtype)
     return new_values, new_m, new_v
+
+
+def linear_reference(x, w, b=None):
+    """``x @ w + b`` as a chain of primitive tape ops: reshape, matmul, add, reshape."""
+    lead = x.shape[:-1]
+    flat = x.reshape((-1, x.shape[-1])) if len(x.shape) != 2 else x
+    out = N.matmul(flat, w)
+    if b is not None:
+        out = out + b
+    if len(lead) != 1:
+        out = out.reshape((*lead, w.shape[1]))
+    return out
+
+
+def attention_reference(q, k, v, mask, num_heads, capture=None):
+    """Multi-head attention as a chain of primitive tape ops: split heads,
+    scores, scale, masked softmax, weighted sum, merge heads."""
+    B, tq, h = q.shape
+    tk = k.shape[1]
+    hd = h // num_heads
+
+    def split(x, t):
+        return x.reshape((B, t, num_heads, hd)).transpose(0, 2, 1, 3).reshape((B * num_heads, t, hd))
+
+    q3, k3, v3 = split(q, tq), split(k, tk), split(v, tk)
+    scores = N.matmul(q3, k3.transpose(0, 2, 1)) * (1.0 / math.sqrt(hd))
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim == 2:
+        mask = mask[:, None, :]
+    full = np.broadcast_to(mask[:, None, :, :], (B, num_heads, tq, tk)).reshape(B * num_heads, tq, tk)
+    weights = N.masked_softmax(scores, full, axis=-1)
+    if capture is not None:
+        capture.append(weights.values.reshape(B, num_heads, tq, tk).copy())
+    merged = N.matmul(weights, v3)
+    return merged.reshape((B, num_heads, tq, hd)).transpose(0, 2, 1, 3).reshape((B, tq, h))
+
+
+def layer_norm_reference(x, gain, bias, g, eps=1e-5):
+    """Layer norm over the last axis with ``np.mean`` / ``np.var``, and its
+    gradients for the upstream gradient ``g``: (out, d_x, d_gain, d_bias)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    out = xhat * gain + bias
+    gx = g * gain
+    term = gx - gx.mean(axis=-1, keepdims=True) \
+        - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+    lead = tuple(range(g.ndim - 1))
+    return out, term * inv, (g * xhat).sum(axis=lead), g.sum(axis=lead)

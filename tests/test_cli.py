@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -185,6 +186,45 @@ def test_pipeline_metrics_rerun_byte_identical(toy_files):
         assert code == 0
         blobs.append((out / "metrics.jsonl").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+# sha256 of fixed-seed pipeline outputs, taken before the tape ops were fused
+# (linear, multi-head attention, one-pass layer norm). Any change to the
+# rounding of a forward or backward op in any stage changes them. They were
+# taken with OpenBLAS (64-bit, Haswell kernels); another BLAS build may round
+# matrix products differently.
+PINNED_PIPELINE_SHA256 = {
+    "float64": {
+        "metrics.jsonl": "a090a7fbf43fc8e4dfbc9021f9b59e9be2a3650f93d406032c1a2a8fdb63ae47",
+        "pretrain-40.ckpt": "bb927a8af438a353750d434e3ca293dc648e19c7c605bc953331d27e16934323",
+        "ce-3.ckpt": "df809dc8337b05d3cba5fb47664f10199268ee8a8320142a07e49cc0c9946b3b",
+        "finetune-30.ckpt": "f43506fd22c9bfad3eb1b3e6e205ce00e610c41d20f1eb4f2029ba1a58c3f26a",
+    },
+    "float32": {
+        "pretrain-40.ckpt": "b8bc1c64ee345a78659658b42652b70660a44736d0c983847ecff19161e59592",
+        "ce-3.ckpt": "459cf9188e08d3ef9e24c22dc2328bed74a2a21ee3ebc4cba1ebcd9cab2467c3",
+        "finetune-30.ckpt": "08f00a861a612b7d752f1590f7c2314834457558ee62a344ece8eabef044c454",
+    },
+}
+
+
+@pytest.mark.parametrize("precision", sorted(PINNED_PIPELINE_SHA256))
+def test_pipeline_outputs_match_pinned_sha256(tmp_path, precision):
+    # The corpus of `python -m ce_nmt.synthetic DIR --pairs 300 --seed 7`.
+    corpus = make_cipher_corpus(300, vocab_size=50, seed=7)
+    src, tgt = tmp_path / "train.src", tmp_path / "train.tgt"
+    write_parallel_files(corpus, src, tgt)
+    out = tmp_path / "run"
+    code = cli.main(["pipeline", "--source", str(src), "--target", str(tgt), "--out", str(out),
+                     "--depth", "1", "--dim", "32", "--heads", "2", "--ff-dim", "64",
+                     "--emb-dim", "32", "--proj-dim", "8", "--max-len", "10",
+                     "--batch-size", "32", "--warmup", "10", "--steps", "40",
+                     "--finetune-steps", "30", "--epochs", "3", "--seed", "7",
+                     "--precision", precision])
+    assert code == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in PINNED_PIPELINE_SHA256[precision]}
+    assert got == PINNED_PIPELINE_SHA256[precision]
 
 
 # -- eval -------------------------------------------------------------------------------

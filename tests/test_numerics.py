@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+from _oracles import attention_reference, layer_norm_reference, linear_reference
 from ce_nmt import numerics as N
 from ce_nmt.errors import (
     BatchTooSmallError,
@@ -107,6 +108,116 @@ def test_layer_norm_matches_direct_oracle():
     expected = (x - x.mean()) / np.sqrt(x.var() + eps) * gain + bias
     got = N.layer_norm(T(x), T(gain), T(bias), eps=eps).values
     assert np.max(np.abs(got - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_layer_norm_matches_mean_var_formula_bitwise(dtype):
+    rng = np.random.default_rng(6)
+    x = (rng.normal(size=(3, 5, 7)) * 3.0 + 1.5).astype(dtype)
+    gain, bias = rng.normal(size=7).astype(dtype), rng.normal(size=7).astype(dtype)
+    upstream = rng.normal(size=(3, 5, 7)).astype(dtype)
+    leaves = [N.Tensor(a.copy(), requires_grad=True) for a in (x, gain, bias)]
+    out = N.layer_norm(*leaves)
+    (out * upstream).sum().backward()
+    got = [out.values] + [t.grad for t in leaves]
+    for g, want in zip(got, layer_norm_reference(x, gain, bias, upstream)):
+        assert g.dtype == dtype and g.tobytes() == want.astype(dtype).tobytes()
+
+
+# -- fused linear and attention against their primitive-op chains ----------------
+
+FUSED = {"linear": N.linear, "attention": N.multi_head_attention}
+REFERENCE = {"linear": linear_reference, "attention": attention_reference}
+
+
+def _fused_and_reference(forward, arrays):
+    """Run ``forward(ops, captures, *leaves)`` with the fused ops and with the
+    reference chains; per side, the bytes of the output, of every captured
+    array and of every leaf's gradient after one weighted-sum backward."""
+    sides = []
+    for ops in (FUSED, REFERENCE):
+        leaves = [N.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        captures: list = []
+        out = forward(ops, captures, *leaves)
+        weight = np.random.default_rng(99).normal(size=out.shape)
+        (out * weight).sum().backward()
+        assert all(t.grad is not None for t in leaves)
+        sides.append([out.values.tobytes()] + [c.tobytes() for c in captures]
+                     + [t.grad.tobytes() for t in leaves])
+    return sides
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(5, 6), (2, 4, 6)])
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_matches_reference_bitwise(dtype, shape, bias):
+    rng = np.random.default_rng(len(shape) * 10 + bias)
+    arrays = [rng.normal(size=shape), rng.normal(size=(6, 3)), rng.normal(size=(3, 4)),
+              rng.normal(size=(6, 4))] + ([rng.normal(size=3)] if bias else [])
+
+    def forward(ops, _, x, w1, w2, w3, *b1):
+        hidden = ops["linear"](x, w1, *b1)
+        return ops["linear"](hidden, w2) + ops["linear"](x, w3)   # x fans in twice
+
+    fused, reference = _fused_and_reference(forward, [a.astype(dtype) for a in arrays])
+    assert fused == reference
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("pattern", ["padding", "causal", "cross"])
+def test_attention_matches_reference_bitwise(dtype, heads, pattern):
+    rng = np.random.default_rng(heads * 7 + len(pattern))
+    B, tq, h = 3, 5, 8
+    tk = 7 if pattern == "cross" else tq
+    lengths = np.array([tk, tk - 2, 1])
+    mask = np.arange(tk)[None, :] < lengths[:, None]                 # (B, tk) key padding
+    if pattern == "causal":
+        mask = np.tril(np.ones((tq, tk), dtype=bool))[None] & mask[:, None, :]
+    arrays = [rng.normal(size=(B, tq, h)), rng.normal(size=(B, tk, h))] \
+        + [rng.normal(size=(h, h)) for _ in range(4)]
+
+    def forward(ops, captures, y, src, wq, wk, wv, wo):
+        # Self-attention reads y three times, so y's gradient sums the q, k
+        # and v contributions in tape order; the src term gives src a use.
+        kv_in = src if pattern == "cross" else y
+        q = ops["linear"](y, wq)
+        k, v = ops["linear"](kv_in, wk), ops["linear"](kv_in, wv)
+        out = ops["linear"](ops["attention"](q, k, v, mask, heads, captures), wo)
+        return out if pattern == "cross" else out + src.sum(axis=1, keepdims=True)
+
+    fused, reference = _fused_and_reference(forward, [a.astype(dtype) for a in arrays])
+    assert len(fused) == 1 + 1 + len(arrays)
+    assert fused == reference
+
+
+def test_attention_checks_raw_scores_under_the_mask():
+    # The second key overflows its score to inf but is masked, so softmax
+    # would hide it; the raw scores are checked, as the scores Tensor of the
+    # primitive chain was.
+    big = 1e200
+    q = T(np.full((1, 1, 2), big))
+    k = T(np.array([[[0.0, 0.0], [big, big]]]))
+    v = T(np.zeros((1, 2, 2)))
+    mask = np.array([[True, False]])
+    for attend in (N.multi_head_attention, attention_reference):
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            attend(q, k, v, mask, 1)
+        with N.no_grad(), np.errstate(over="ignore"), pytest.raises(NumericError):
+            attend(q, k, v, mask, 1)
+    finite = T(np.array([[[0.0, 0.0], [1.0, 1.0]]]))
+    assert np.array_equal(N.multi_head_attention(q, finite, v, mask, 1).values, np.zeros((1, 1, 2)))
+
+
+def test_fused_ops_reject_bad_shapes():
+    with pytest.raises(ShapeError):
+        N.linear(T(np.zeros((2, 3))), T(np.zeros((4, 2))))
+    with pytest.raises(ShapeError):
+        N.multi_head_attention(T(np.zeros((1, 2, 4))), T(np.zeros((1, 3, 4))),
+                               T(np.zeros((1, 2, 4))), np.ones((1, 3), dtype=bool), 2)
+    with pytest.raises(ShapeError):
+        N.multi_head_attention(T(np.zeros((1, 2, 4))), T(np.zeros((1, 3, 4))),
+                               T(np.zeros((1, 3, 4))), np.ones((1, 3), dtype=bool), 3)
 
 
 # -- batch_norm_train -----------------------------------------------------------
@@ -221,6 +332,54 @@ def test_gradients_are_never_written_in_place():
     current_snapshot = [g.copy() for g in current]
     AdamOptimizer({"x": x, "w": w, "table": table}, lr=0.1, warmup=1).step()
     for g, before in zip(captured + current, snapshot + current_snapshot):
+        assert g.tobytes() == before.tobytes()
+
+    # A model step: encoder and decoder run the fused linear and attention
+    # ops and layer norm. No backward function may write into the gradient it
+    # is handed, and every gradient on the tape must survive a second
+    # backward into the same parameters and an optimizer step.
+    from ce_nmt import model as M
+    from ce_nmt.losses import translation_loss
+
+    cfg = M.ModelConfig(src_vocab=9, tgt_vocab=9, depth=1, dim=8, heads=2, ff_dim=16,
+                        emb_dim=6, max_len=6)
+    enc, dec = M.init_encoder_params(cfg, rng), M.init_decoder_params(cfg, rng)
+    src = np.array([[1, 4, 5, 2], [1, 6, 2, 0]])
+    tgt = np.array([[1, 7, 8, 2], [1, 5, 2, 0]])
+    latent = M.encode(src, src != 0, enc, cfg)
+    logits = M.decode(latent, tgt[:, :-1], tgt[:, :-1] != 0, dec, cfg)
+    loss = translation_loss(logits, tgt[:, 1:], tgt[:, 1:] != 0)
+
+    tape, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            tape.append(node)
+            stack.extend(node._parents)
+    handed = []
+
+    def keep_copy(fn):
+        def backward(g):
+            handed.append((g, g.copy()))
+            fn(g)
+        return backward
+
+    for node in tape:
+        if node._backward_fn is not None:
+            node._backward_fn = keep_copy(node._backward_fn)
+    loss.backward()
+    captured = [t.grad for t in tape if t.grad is not None]
+    assert len(captured) == len(tape) and len(handed) == len(tape) - len(enc.values()) \
+        - len(dec.values())
+    snapshot = [g.copy() for g in captured]
+    latent = M.encode(src, src != 0, enc, cfg)
+    logits = M.decode(latent, tgt[:, :-1], tgt[:, :-1] != 0, dec, cfg)
+    translation_loss(logits, tgt[:, 1:], tgt[:, 1:] != 0).backward()
+    params = {f"{side}.{k}": t for side, group in (("enc", enc), ("dec", dec))
+              for k, t in group.items()}
+    AdamOptimizer(params, lr=0.1, warmup=1).step()
+    for g, before in handed + list(zip(captured, snapshot)):
         assert g.tobytes() == before.tobytes()
 
 
@@ -443,6 +602,24 @@ def _case_masked_max_pool(rng):
     return (lambda x: (N.masked_max_pool(x, mask) * w).sum(), [_rand(rng, 2, 3, 4)])
 
 
+def _case_linear(rng):
+    w = rng.normal(size=(3, 2))
+    return (lambda x, W, b: (N.linear(x, W, b) * w).sum(),
+            [_rand(rng, 3, 4), _rand(rng, 4, 2), _rand(rng, 2)])
+
+
+def _case_linear_3d(rng):
+    w = rng.normal(size=(2, 3, 2))
+    return (lambda x, W: (N.linear(x, W) * w).sum(), [_rand(rng, 2, 3, 4), _rand(rng, 4, 2)])
+
+
+def _case_multi_head_attention(rng):
+    mask = np.array([[True, True, False, True], [True, False, False, False]])
+    w = rng.normal(size=(2, 3, 4))
+    return (lambda q, k, v: (N.multi_head_attention(q, k, v, mask, 2) * w).sum(),
+            [_rand(rng, 2, 3, 4), _rand(rng, 2, 4, 4), _rand(rng, 2, 4, 4)])
+
+
 OP_CASES = {
     "add": _case_add,
     "add_broadcast": _case_add_broadcast,
@@ -451,6 +628,9 @@ OP_CASES = {
     "sqrt": _case_sqrt,
     "matmul": _case_matmul,
     "matmul_batched": _case_matmul_batched,
+    "linear": _case_linear,
+    "linear_3d": _case_linear_3d,
+    "multi_head_attention": _case_multi_head_attention,
     "transpose_reshape": _case_transpose_reshape,
     "sum_axis": _case_sum_axis,
     "relu": _case_relu,

@@ -373,6 +373,30 @@ def test_checkpoint_rejects_non_checkpoint_file(tmp_path):
         TR.load_checkpoint(p)
 
 
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch, failing):
+    cfg, corpus, vs, vt = tiny_setup()
+    first = TR.train_translation(cfg, corpus, vs, vt, seed=9, steps=0)
+    second = TR.train_translation(cfg, corpus, vs, vt, seed=10, steps=0)
+    path = TR.save_checkpoint(first, tmp_path / "model.ckpt")
+    before = path.read_bytes()
+    assert before == TR.checkpoint_bytes(first)
+
+    def disk_full(*args):
+        raise OSError("disk full")
+
+    # fsync fails after the new bytes are written, replace when committing them.
+    with monkeypatch.context() as patch:
+        patch.setattr(TR.os, failing, disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            TR.save_checkpoint(second, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    TR.save_checkpoint(second, path)
+    assert path.read_bytes() == TR.checkpoint_bytes(second)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_checkpoint_format_v1_bytes_pinned():
     # A change to the v1 byte layout (header keys, tensor order, dtype) shows
     # here; the constant is the sha256 of this checkpoint in format v1.
