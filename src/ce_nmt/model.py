@@ -9,6 +9,16 @@ Architecture choices fixed here:
   - token embeddings of width ``emb_dim`` mapped into the model width by a
     learned input projection, scaled by sqrt(dim) before positions are added.
 
+The encoder works on packed rows: it embeds only the valid source tokens,
+runs the layer norms, feed-forward layers and residual adds on those (n,
+dim) rows, and scatters each layer's normalized input into the zero-padded
+(B, t, dim) layout only for self-attention (``numerics.RowLayout``). Its
+latent is exactly 0.0 at PAD. The packed linear layers reduce their weight
+gradients over the zero-padded rows, so at widths that are multiples of 8
+the encoder gives the bits of the same computation on the padded layout.
+Dropout masks are drawn on the padded shape, so the random stream does not
+depend on where the padding sits. The decoder runs on the padded layout.
+
 All forward passes are deterministic functions of (parameters, inputs) when
 dropout is disabled. Masked positions carry exactly zero attention weight,
 so any change confined to padding leaves unmasked outputs bitwise unchanged.
@@ -248,10 +258,17 @@ def sinusoidal_positions(t: int, dim: int, dtype=np.float64) -> np.ndarray:
     return pe.astype(dtype)
 
 
-def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
+             rows: N.RowLayout | None = None) -> Tensor:
+    """Inverted dropout. For packed rows the mask is drawn on the padded
+    (B, t, d) shape and then gathered, so the random stream does not depend
+    on where the padding sits."""
     if rate <= 0.0 or rng is None:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
+    shape = x.shape if rows is None else (*rows.shape, x.shape[-1])
+    keep = (rng.random(shape) >= rate).astype(x.dtype)
+    if rows is not None:
+        keep = rows.pack(keep)
     return x * (keep / (1.0 - rate))
 
 
@@ -279,48 +296,55 @@ def _mha_layer(x_q: Tensor, kv: tuple[Tensor, Tensor], params: ParamGroup, prefi
     return N.linear(out, params[f"{prefix}.wo"])
 
 
-def _ff(x: Tensor, params: ParamGroup, prefix: str) -> Tensor:
-    hidden = N.relu(N.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return N.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+def _ff(x: Tensor, params: ParamGroup, prefix: str, rows: N.RowLayout | None = None) -> Tensor:
+    hidden = N.relu(N.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"], rows))
+    return N.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"], rows)
 
 
 def _ln(x: Tensor, params: ParamGroup, prefix: str) -> Tensor:
     return N.layer_norm(x, params[f"{prefix}_g"], params[f"{prefix}_b"])
 
 
-def _embed_inputs(ids: np.ndarray, params: ParamGroup, cfg: ModelConfig,
-                  rng: np.random.Generator | None, start: int = 0) -> Tensor:
-    """Embed ids (B, t) that sit at positions start .. start + t - 1."""
+def _embed_inputs(ids: np.ndarray, pe: np.ndarray, params: ParamGroup, cfg: ModelConfig,
+                  rng: np.random.Generator | None, rows: N.RowLayout | None = None) -> Tensor:
+    """Embed ``ids`` and add the positional encodings ``pe`` (broadcast
+    against them); with ``rows``, ``ids`` are that layout's packed valid ids."""
     emb = N.embedding_lookup(params["embed"], ids)
-    x = N.linear(emb, params["in_w"], params["in_b"]) * math.sqrt(cfg.dim)
-    pe = sinusoidal_positions(start + ids.shape[1], cfg.dim, dtype=x.dtype)[start:]
-    x = x + pe[None, :, :]
-    return _dropout(x, cfg.dropout, rng)
+    x = N.linear(emb, params["in_w"], params["in_b"], rows) * math.sqrt(cfg.dim)
+    x = x + pe.astype(x.dtype, copy=False)
+    return _dropout(x, cfg.dropout, rng, rows)
 
 
 def encode(src_ids: np.ndarray, src_mask: np.ndarray, params: EncoderParams,
            cfg: ModelConfig, rng: np.random.Generator | None = None,
            capture: list | None = None) -> LatentSequence:
-    """Map source token ids (B, t) to latent states (B, t, dim).
+    """Map source token ids (B, t) to latent states (B, t, dim), exactly 0.0 at PAD.
 
     Self-attention is padding-masked only: every unmasked position sees every
-    other unmasked position.
+    other unmasked position. The position-wise work (embedding, input
+    projection, layer norms, feed-forward, residual adds) runs on the packed
+    valid rows of ``src_mask``; each layer's attention sublayer runs on the
+    zero-padded (B, t, dim) layout. PAD tokens never enter the arithmetic,
+    so their ids are never read.
     """
     src_ids = np.asarray(src_ids)
     src_mask = np.asarray(src_mask, dtype=bool)
     if src_ids.shape != src_mask.shape or src_ids.ndim != 2:
         raise ConfigError(f"ids shape {src_ids.shape} and mask shape {src_mask.shape} must match (B, t)")
-    if src_ids.shape[1] > cfg.max_len:
-        raise ConfigError(f"sequence length {src_ids.shape[1]} exceeds max_len {cfg.max_len}")
-    x = _embed_inputs(src_ids, params, cfg, rng)
+    t = src_ids.shape[1]
+    if t > cfg.max_len:
+        raise ConfigError(f"sequence length {t} exceeds max_len {cfg.max_len}")
+    rows = N.RowLayout(src_mask)
+    pe = sinusoidal_positions(t, cfg.dim)[rows.index % t]
+    x = _embed_inputs(np.take(src_ids, rows.index), pe, params, cfg, rng, rows)
     for i in range(cfg.depth):
-        y = _ln(x, params, f"layer{i}.ln1")
+        y = N.scatter_rows(_ln(x, params, f"layer{i}.ln1"), rows)
         attn_out = _mha_layer(y, _keys_values(y, params, f"layer{i}.attn"), params,
                               f"layer{i}.attn", src_mask, cfg, capture)
-        x = x + _dropout(attn_out, cfg.dropout, rng)
-        ff_out = _ff(_ln(x, params, f"layer{i}.ln2"), params, f"layer{i}.ff")
-        x = x + _dropout(ff_out, cfg.dropout, rng)
-    return LatentSequence(_ln(x, params, "final_ln"), src_mask)
+        x = x + _dropout(N.gather_rows(attn_out, rows), cfg.dropout, rng, rows)
+        ff_out = _ff(_ln(x, params, f"layer{i}.ln2"), params, f"layer{i}.ff", rows)
+        x = x + _dropout(ff_out, cfg.dropout, rng, rows)
+    return LatentSequence(N.scatter_rows(_ln(x, params, "final_ln"), rows), src_mask)
 
 
 def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
@@ -358,7 +382,7 @@ def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
     key_mask = tgt_mask if start == 0 else np.concatenate([cache.mask, tgt_mask], axis=1)
     causal = np.tril(np.ones((t2, start + t2), dtype=bool), k=start)
     self_mask = causal[None, :, :] & key_mask[:, None, :]
-    x = _embed_inputs(tgt_ids, params, cfg, rng, start)
+    x = _embed_inputs(tgt_ids, sinusoidal_positions(start + t2, cfg.dim)[start:], params, cfg, rng)
     self_kv: list[tuple[Tensor, Tensor]] = []
     cross_kv: list[tuple[Tensor, Tensor]] = []
     for i in range(cfg.depth):

@@ -21,7 +21,15 @@ Conventions:
     functions, ``embedding_lookup``'s scatter and the optimizer all build
     new arrays,
   - masked softmax / pooling exclude masked positions exactly (weight 0),
-    so mask-invariance holds bitwise at 64-bit.
+    so mask-invariance holds bitwise at 64-bit,
+  - packed rows: a ``RowLayout`` names the valid rows of a (B, t) mask, and
+    ``gather_rows`` / ``scatter_rows`` move between the padded (B, t, d)
+    layout and the packed (n, d) one (zero at the left-out rows).
+    ``linear(..., rows=)`` runs its product and its input and bias
+    gradients on the n packed rows, but its weight gradient stays one
+    product over the zero-padded B·t rows: a product over the packed rows
+    would change the reduction's length and order, and so its rounding
+    (about 1e-15 relative).
 """
 
 from __future__ import annotations
@@ -367,15 +375,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_values, (a, b), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
+           rows: RowLayout | None = None) -> Tensor:
     """``x @ w + b`` over the last axis of ``x`` (any number of leading axes).
 
     One tape node. Leading axes are flattened into one for a single 2-D
     product, the way a reshape / matmul / add / reshape chain computes it.
+
+    With ``rows``, ``x`` is (n, in): the n valid rows of that layout, packed.
+    The product, the input gradient and the bias gradient (a column sum, to
+    which zero rows add nothing) run on those n rows. The weight gradient
+    stays one product over the zero-padded B·t rows, so its reduction has
+    the length and order, and the bits, of an unpacked call whose gradient
+    is zero at the left-out rows.
     """
     xv, wv = x.values, w.values
     if wv.ndim != 2 or xv.ndim < 1 or xv.shape[-1] != wv.shape[0]:
         raise ShapeError(f"linear expects (..., n) x (n, m), got {x.shape} and {w.shape}")
+    if rows is not None and (xv.ndim != 2 or xv.shape[0] != rows.n):
+        raise ShapeError(f"linear with rows expects ({rows.n}, n) packed rows, got {x.shape}")
     flat = xv if xv.ndim == 2 else xv.reshape((-1, xv.shape[-1]))
     out_values = flat @ wv
     if b is not None:
@@ -390,10 +408,72 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if b is not None:
             _accumulate(b, _unbroadcast(g, b.shape))
         gx = g @ wv.swapaxes(-1, -2)
-        _accumulate(w, flat.swapaxes(-1, -2) @ g)
+        xr, gr = (flat, g) if rows is None else (rows.pad(flat), rows.pad(g))
+        _accumulate(w, xr.swapaxes(-1, -2) @ gr)
         _accumulate(x, gx if xv.ndim == 2 else gx.reshape(xv.shape))
 
     return _result(out_values, (x, w) if b is None else (x, w, b), backward)
+
+
+# -- valid-row layout -----------------------------------------------------------
+
+
+class RowLayout:
+    """The valid rows of a boolean (B, t) mask.
+
+    ``index`` holds their row-major positions among the B·t rows, ``n`` of
+    them. A packed array holds those rows, in that order, as (n, d).
+    """
+
+    __slots__ = ("shape", "index")
+
+    def __init__(self, mask: np.ndarray):
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 2:
+            raise ShapeError(f"row layout expects a (B, t) mask, got shape {mask.shape}")
+        self.shape: tuple[int, int] = mask.shape
+        self.index = np.flatnonzero(mask)
+
+    @property
+    def n(self) -> int:
+        return self.index.size
+
+    def pack(self, padded: np.ndarray) -> np.ndarray:
+        """The valid rows of a (B, t, d) or (B·t, d) array, as a new (n, d) array."""
+        return np.take(padded.reshape((-1, padded.shape[-1])), self.index, axis=0)
+
+    def pad(self, packed: np.ndarray) -> np.ndarray:
+        """Packed (n, d) rows as a new (B·t, d) array, zero at the other rows."""
+        out = np.zeros((self.shape[0] * self.shape[1], packed.shape[-1]), dtype=packed.dtype)
+        out[self.index] = packed
+        return out
+
+
+def scatter_rows(x: Tensor, rows: RowLayout) -> Tensor:
+    """Packed rows (n, d) into a (B, t, d) array that is exactly 0.0 at the
+    rows the layout leaves out; the inverse of ``gather_rows``."""
+    if x.values.ndim != 2 or x.shape[0] != rows.n:
+        raise ShapeError(f"scatter_rows expects ({rows.n}, d) packed rows, got {x.shape}")
+    out_values = rows.pad(x.values).reshape((*rows.shape, x.shape[1]))
+
+    def backward(g):
+        _accumulate(x, rows.pack(g))
+
+    return _result(out_values, (x,), backward)
+
+
+def gather_rows(x: Tensor, rows: RowLayout) -> Tensor:
+    """The layout's valid rows of a (B, t, d) array, packed (n, d)."""
+    if x.values.ndim != 3 or x.shape[:2] != rows.shape:
+        raise ShapeError(f"gather_rows expects a ({rows.shape[0]}, {rows.shape[1]}, d) array, "
+                         f"got {x.shape}")
+    in_shape = x.shape
+    out_values = rows.pack(x.values)
+
+    def backward(g):
+        _accumulate(x, rows.pad(g).reshape(in_shape))
+
+    return _result(out_values, (x,), backward)
 
 
 # -- softmax family -----------------------------------------------------------

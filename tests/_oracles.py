@@ -8,7 +8,8 @@ package's uncached ``decode`` on the whole prefix at every step, and
 ``linear_reference`` / ``attention_reference`` compose the primitive tape
 ops that the fused ``numerics.linear`` and ``numerics.multi_head_attention``
 replace. ``layer_norm_reference`` is layer norm with ``np.mean`` and
-``np.var``.
+``np.var``, and ``encode_reference`` is the encoder on the padded (B, t)
+layout, PAD rows included, that the packed ``model.encode`` replaces.
 """
 
 import math
@@ -177,3 +178,23 @@ def layer_norm_reference(x, gain, bias, g, eps=1e-5):
         - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
     lead = tuple(range(g.ndim - 1))
     return out, term * inv, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+def encode_reference(src_ids, src_mask, params, cfg, rng=None, capture=None):
+    """The encoder computed on the padded (B, t, dim) layout: every position,
+    PAD included, runs through the embedding, layer norms and feed-forward,
+    and only attention masking and pooling keep PAD out of valid rows."""
+    src_ids = np.asarray(src_ids)
+    src_mask = np.asarray(src_mask, dtype=bool)
+    emb = N.embedding_lookup(params["embed"], src_ids)
+    x = N.linear(emb, params["in_w"], params["in_b"]) * math.sqrt(cfg.dim)
+    x = x + M.sinusoidal_positions(src_ids.shape[1], cfg.dim, dtype=x.dtype)[None, :, :]
+    x = M._dropout(x, cfg.dropout, rng)
+    for i in range(cfg.depth):
+        y = M._ln(x, params, f"layer{i}.ln1")
+        attn_out = M._mha_layer(y, M._keys_values(y, params, f"layer{i}.attn"), params,
+                                f"layer{i}.attn", src_mask, cfg, capture)
+        x = x + M._dropout(attn_out, cfg.dropout, rng)
+        ff_out = M._ff(M._ln(x, params, f"layer{i}.ln2"), params, f"layer{i}.ff")
+        x = x + M._dropout(ff_out, cfg.dropout, rng)
+    return M.LatentSequence(M._ln(x, params, "final_ln"), src_mask)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import encode_reference
 from ce_nmt import model as M
 from ce_nmt import numerics as N
 from ce_nmt.data import BOS, EOS, PAD
@@ -106,6 +107,70 @@ def test_encode_dropout_is_seeded():
     c = M.encode(ids, mask, enc, cfg, rng=np.random.default_rng(6)).values.values
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# Source batches for the packed-encoder oracle tests, as row lengths of a
+# (B, t) batch: no PAD at all, rows of only BOS and EOS, and a 60% PAD share.
+PACKED_BATCHES = {
+    "no_pad": (7, [7, 7, 7, 7]),
+    "bos_eos_rows": (6, [2, 6, 2, 4, 2]),
+    "pad_60": (10, [2, 2, 4, 6, 6]),
+}
+
+
+def batch_of_lengths(rng, vocab, t, lengths):
+    ids = np.full((len(lengths), t), PAD, dtype=np.int64)
+    for b, L in enumerate(lengths):
+        ids[b, 0] = BOS
+        ids[b, 1:L - 1] = rng.integers(4, vocab, size=L - 2)
+        ids[b, L - 1] = EOS
+    return ids, ids != PAD
+
+
+def encode_and_grads(encoder_fn, ids, mask, enc, cfg, pooling, weight, dropout_seed=None):
+    """Latent values and every encoder gradient through a pooled loss."""
+    for p in enc.values():
+        p.zero_grad()
+    rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+    latent = encoder_fn(ids, mask, enc, cfg, rng=rng)
+    (M.pool(latent, pooling).values * weight).sum().backward()
+    return latent.values.values, {k: p.grad for k, p in enc.items()}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("batch", sorted(PACKED_BATCHES))
+@pytest.mark.parametrize("pooling", ["mean", "max"])
+def test_encode_matches_padded_reference_bitwise(dtype, batch, pooling):
+    # Every width is a multiple of 8: there a GEMM over the packed rows gives
+    # the bits of those rows of the padded product.
+    cfg = small_config(src_vocab=20, dim=16, heads=2, ff_dim=32, emb_dim=8)
+    rng = np.random.default_rng(len(batch) + 10 * (dtype == np.float32))
+    enc = M.init_encoder_params(cfg, rng, dtype=dtype)
+    t, lengths = PACKED_BATCHES[batch]
+    ids, mask = batch_of_lengths(rng, cfg.src_vocab, t, lengths)
+    weight = rng.normal(size=cfg.dim)
+    got, got_grads = encode_and_grads(M.encode, ids, mask, enc, cfg, pooling, weight)
+    want, want_grads = encode_and_grads(encode_reference, ids, mask, enc, cfg, pooling, weight)
+    assert got.dtype == dtype
+    assert np.array_equal(got[mask], want[mask])
+    assert np.all(got[~mask] == 0.0) and not np.signbit(got[~mask]).any()
+    for name, g in want_grads.items():
+        assert np.array_equal(got_grads[name], g), name
+
+
+def test_encode_dropout_matches_padded_reference():
+    cfg = small_config(src_vocab=20, dim=16, heads=2, ff_dim=32, emb_dim=8, dropout=0.3)
+    rng = np.random.default_rng(21)
+    enc = M.init_encoder_params(cfg, rng)
+    ids, mask = batch_of_lengths(rng, cfg.src_vocab, *PACKED_BATCHES["pad_60"])
+    weight = rng.normal(size=cfg.dim)
+    got, got_grads = encode_and_grads(M.encode, ids, mask, enc, cfg, "mean", weight, 8)
+    want, want_grads = encode_and_grads(encode_reference, ids, mask, enc, cfg, "mean", weight, 8)
+    plain, _ = encode_and_grads(M.encode, ids, mask, enc, cfg, "mean", weight)
+    assert not np.array_equal(got, plain)
+    assert np.array_equal(got[mask], want[mask])
+    for name, g in want_grads.items():
+        assert np.array_equal(got_grads[name], g), name
 
 
 # -- decode -----------------------------------------------------------------------

@@ -209,6 +209,47 @@ def test_attention_checks_raw_scores_under_the_mask():
     assert np.array_equal(N.multi_head_attention(q, finite, v, mask, 1).values, np.zeros((1, 1, 2)))
 
 
+def test_row_layout_packs_valid_rows_in_row_major_order():
+    mask = np.array([[True, False, True], [False, False, False], [True, True, False]])
+    rows = N.RowLayout(mask)
+    assert rows.shape == (3, 3) and rows.n == 4
+    assert rows.index.tolist() == [0, 2, 6, 7]
+    x = T(np.arange(8.0).reshape(4, 2))
+    padded = N.scatter_rows(x, rows)
+    assert padded.shape == (3, 3, 2)
+    assert np.array_equal(padded.values[mask], x.values)
+    assert np.all(padded.values[~mask] == 0.0)
+    assert np.array_equal(N.gather_rows(padded, rows).values, x.values)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("bias", [True, False])
+def test_packed_linear_matches_padded_bitwise(dtype, bias):
+    # Widths are multiples of 8: there a GEMM over a subset of rows gives
+    # the bits of those rows of the full product. The padded side sees
+    # arbitrary values at PAD rows but a zero gradient there, as the encoder
+    # does; its weight and bias gradients must match the packed side's. At
+    # these sizes (the benchmark's batch) a weight gradient reduced over the
+    # packed rows alone would differ in its last bits.
+    rng = np.random.default_rng(5 + bias)
+    mask = rng.random((64, 12)) < 0.7
+    rows = N.RowLayout(mask)
+    arrays = [rng.normal(size=(64, 12, 64)), rng.normal(size=(64, 64)), rng.normal(size=64)]
+    upstream = rng.normal(size=(64, 12, 64))
+    sides = []
+    for packed in (True, False):
+        x, w, b = [T(a.astype(dtype)) for a in arrays]
+        if packed:
+            x_in = N.gather_rows(x, rows)
+            out = N.scatter_rows(N.linear(x_in, w, b if bias else None, rows), rows)
+        else:
+            out = N.linear(x, w, b if bias else None)
+        (out * (upstream * mask[..., None])).sum().backward()
+        sides.append((out.values[mask], x.grad[mask], w.grad) + ((b.grad,) if bias else ()))
+    for got, want in zip(*sides):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_fused_ops_reject_bad_shapes():
     with pytest.raises(ShapeError):
         N.linear(T(np.zeros((2, 3))), T(np.zeros((4, 2))))
@@ -218,6 +259,15 @@ def test_fused_ops_reject_bad_shapes():
     with pytest.raises(ShapeError):
         N.multi_head_attention(T(np.zeros((1, 2, 4))), T(np.zeros((1, 3, 4))),
                                T(np.zeros((1, 3, 4))), np.ones((1, 3), dtype=bool), 3)
+    rows = N.RowLayout(np.array([[True, True, False]]))
+    with pytest.raises(ShapeError):
+        N.linear(T(np.zeros((3, 2))), T(np.zeros((2, 2))), rows=rows)
+    with pytest.raises(ShapeError):
+        N.scatter_rows(T(np.zeros((3, 2))), rows)
+    with pytest.raises(ShapeError):
+        N.gather_rows(T(np.zeros((1, 2, 2))), rows)
+    with pytest.raises(ShapeError):
+        N.RowLayout(np.ones(3, dtype=bool))
 
 
 # -- batch_norm_train -----------------------------------------------------------
@@ -620,6 +670,28 @@ def _case_multi_head_attention(rng):
             [_rand(rng, 2, 3, 4), _rand(rng, 2, 4, 4), _rand(rng, 2, 4, 4)])
 
 
+_PACKED_MASK = np.array([[True, True, False], [True, False, False]])
+
+
+def _case_scatter_rows(rng):
+    rows = N.RowLayout(_PACKED_MASK)
+    w = rng.normal(size=(2, 3, 4))
+    return (lambda x: (N.scatter_rows(x, rows) * w).sum(), [_rand(rng, 3, 4)])
+
+
+def _case_gather_rows(rng):
+    rows = N.RowLayout(_PACKED_MASK)
+    w = rng.normal(size=(3, 4))
+    return (lambda x: (N.gather_rows(x, rows) * w).sum(), [_rand(rng, 2, 3, 4)])
+
+
+def _case_linear_packed(rng):
+    rows = N.RowLayout(_PACKED_MASK)
+    w = rng.normal(size=(3, 2))
+    return (lambda x, W, b: (N.linear(x, W, b, rows) * w).sum(),
+            [_rand(rng, 3, 4), _rand(rng, 4, 2), _rand(rng, 2)])
+
+
 OP_CASES = {
     "add": _case_add,
     "add_broadcast": _case_add_broadcast,
@@ -630,6 +702,9 @@ OP_CASES = {
     "matmul_batched": _case_matmul_batched,
     "linear": _case_linear,
     "linear_3d": _case_linear_3d,
+    "linear_packed": _case_linear_packed,
+    "scatter_rows": _case_scatter_rows,
+    "gather_rows": _case_gather_rows,
     "multi_head_attention": _case_multi_head_attention,
     "transpose_reshape": _case_transpose_reshape,
     "sum_axis": _case_sum_axis,
