@@ -14,6 +14,20 @@ Conventions:
     raises,
   - boolean masks are plain numpy arrays, never Tensors,
   - inside ``no_grad()`` operations record no tape: results have no parents,
+  - the tape is made of nodes, not Tensors: a Tensor is its ``values`` plus
+    a small ``_Node`` (gradient, ``requires_grad``, parent nodes, backward
+    function, shape and dtype). A backward function holds the nodes it
+    passes gradients to and only the arrays it reads (``linear`` its input
+    rows and weight, layer norm its normalized input, attention its split
+    heads and weights, ``relu`` its output, ``log_softmax`` its
+    probabilities); reshapes, sums, lookups, gathers and pools keep shapes
+    and indices only. So a training step keeps, of all the values it
+    computes, just those arrays; the rest is freed as soon as model code
+    drops the Tensor,
+  - ``backward()`` releases each non-leaf node's gradient once its backward
+    function has used it. Only leaves (parameters, and inputs created with
+    ``requires_grad=True``) keep ``.grad``, and a second ``backward()`` on
+    the same graph adds the same gradients to them once more,
   - gradients are passed by reference: a backward function may hand the
     same array (or a view of it) to several parents, and ``_accumulate``
     stores the first gradient a tensor receives as is. So once an array is
@@ -91,23 +105,66 @@ def _check_finite(arr: np.ndarray) -> None:
         raise NumericError("non-finite values in tensor")
 
 
+class _Node:
+    """A Tensor's entry on the tape: everything ``backward`` needs of it but
+    its values.
+
+    ``parents`` are the nodes of the op's inputs, and ``backward_fn(g)``
+    passes ``g`` on to them. ``shape`` and ``dtype`` are those of the
+    Tensor's values, so a backward function can reduce and cast a gradient
+    without holding the values.
+    """
+
+    __slots__ = ("grad", "requires_grad", "parents", "backward_fn", "shape", "dtype")
+
+    def __init__(self, shape: tuple[int, ...], dtype, requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self.parents: tuple[_Node, ...] = ()
+        self.backward_fn: Callable[[np.ndarray], None] | None = None
+        self.shape = shape
+        self.dtype = dtype
+
+
 class Tensor:
     """Dense n-dimensional array with an optional gradient.
 
-    ``grad`` is populated by ``backward()`` on every tensor in the graph
-    that requires a gradient; it always matches ``values`` in shape.
+    A Tensor is its ``values`` plus a ``_Node`` on the tape. The tape links
+    nodes, never Tensors, and each op's backward function holds only the
+    nodes it passes gradients to and the arrays it reads. So an
+    intermediate's values are freed once model code drops the Tensor, unless
+    some backward saved that array.
+
+    ``grad`` and ``requires_grad`` live on the node. ``backward()`` fills
+    ``grad`` on every node that requires one, and drops it again from each
+    non-leaf node once that node's backward function has used it: after
+    ``backward()`` only leaves (parameters, and inputs created with
+    ``requires_grad=True``) hold a gradient, matching ``values`` in shape.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("values", "_node")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = _as_float_array(values)
         _check_finite(arr)
         self.values = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[np.ndarray], None] | None = None
+        self._node = _Node(arr.shape, arr.dtype, bool(requires_grad))
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self._node.grad = g
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        self._node.requires_grad = bool(flag)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -124,17 +181,23 @@ class Tensor:
         return float(self.values.reshape(()))
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self._node.grad = None
 
     # -- graph ------------------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from a scalar output through the recorded tape."""
+        """Backpropagate from a scalar output through the recorded tape.
+
+        Each non-leaf node's gradient is released as it is handed to the
+        node's backward function, so a second ``backward()`` on the same
+        graph adds exactly the same gradients to the leaves once more.
+        """
         if self.values.size != 1:
             raise NumericError("backward() requires a scalar output")
-        topo: list[Tensor] = []
+        root = self._node
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -144,13 +207,15 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.values)
+        root.grad = np.ones_like(self.values)
         for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+            fn = node.backward_fn
+            if fn is not None and node.grad is not None:
+                g, node.grad = node.grad, None
+                fn(g)
 
     # -- operator sugar ----------------------------------------------------
 
@@ -193,29 +258,30 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _result(values: np.ndarray, parents: tuple[Tensor, ...],
+def _result(values: np.ndarray, parents: tuple[_Node, ...],
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(values)
     if _grad_mode.enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward_fn = backward_fn
+        node = out._node
+        node.requires_grad = True
+        node.parents = parents
+        node.backward_fn = backward_fn
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` to ``t.grad`` without writing into either array.
+def _accumulate(node: _Node, g: np.ndarray) -> None:
+    """Add ``g`` to ``node.grad`` without writing into either array.
 
-    The sum on fan-in is computed as ``t.grad + g`` and cast to the tensor's
-    dtype, which rounds exactly like an in-place ``+=`` into a buffer of that
-    dtype.
+    The sum on fan-in is computed as ``node.grad + g`` and cast to the
+    node's dtype, which rounds exactly like an in-place ``+=`` into a buffer
+    of that dtype.
     """
-    if not t.requires_grad:
+    if not node.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g if g.dtype == t.values.dtype else g.astype(t.values.dtype)
+    if node.grad is None:
+        node.grad = g if g.dtype == node.dtype else g.astype(node.dtype)
     else:
-        t.grad = (t.grad + g).astype(t.values.dtype, copy=False)
+        node.grad = (node.grad + g).astype(node.dtype, copy=False)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -235,68 +301,80 @@ def add(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         const = np.asarray(b, dtype=a.dtype)
         out_values = a.values + const
+        na = a._node
 
         def backward(g):
-            _accumulate(a, _unbroadcast(g, a.shape))
+            _accumulate(na, _unbroadcast(g, na.shape))
 
-        return _result(out_values, (a,), backward)
+        return _result(out_values, (na,), backward)
 
     out_values = a.values + b.values
+    na, nb = a._node, b._node
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate(na, _unbroadcast(g, na.shape))
+        _accumulate(nb, _unbroadcast(g, nb.shape))
 
-    return _result(out_values, (a, b), backward)
+    return _result(out_values, (na, nb), backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         const = np.asarray(b, dtype=a.dtype)
         out_values = a.values * const
+        na = a._node
 
         def backward(g):
-            _accumulate(a, _unbroadcast(g * const, a.shape))
+            _accumulate(na, _unbroadcast(g * const, na.shape))
 
-        return _result(out_values, (a,), backward)
+        return _result(out_values, (na,), backward)
 
-    out_values = a.values * b.values
+    av, bv = a.values, b.values
+    out_values = av * bv
+    na, nb = a._node, b._node
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.values, a.shape))
-        _accumulate(b, _unbroadcast(g * a.values, b.shape))
+        _accumulate(na, _unbroadcast(g * bv, na.shape))
+        _accumulate(nb, _unbroadcast(g * av, nb.shape))
 
-    return _result(out_values, (a, b), backward)
+    return _result(out_values, (na, nb), backward)
 
 
 def div(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         return mul(a, 1.0 / np.asarray(b, dtype=a.dtype))
-    out_values = a.values / b.values
+    av, bv = a.values, b.values
+    out_values = av / bv
+    na, nb = a._node, b._node
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.values, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.values / (b.values * b.values), b.shape))
+        _accumulate(na, _unbroadcast(g / bv, na.shape))
+        _accumulate(nb, _unbroadcast(-g * av / (bv * bv), nb.shape))
 
-    return _result(out_values, (a, b), backward)
+    return _result(out_values, (na, nb), backward)
 
 
 def sqrt(a: Tensor) -> Tensor:
     out_values = np.sqrt(a.values)
+    na = a._node
 
     def backward(g):
-        _accumulate(a, g * 0.5 / out_values)
+        _accumulate(na, g * 0.5 / out_values)
 
-    return _result(out_values, (a,), backward)
+    return _result(out_values, (na,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
+    """``max(a, 0)``. The backward reads the output, not the input: for
+    finite values ``out > 0`` exactly where ``a > 0``, and the layer after a
+    ReLU saves that output anyway, so the pre-activation can be freed."""
     out_values = np.maximum(a.values, 0.0)
+    na = a._node
 
     def backward(g):
-        _accumulate(a, g * (a.values > 0))
+        _accumulate(na, g * (out_values > 0))
 
-    return _result(out_values, (a,), backward)
+    return _result(out_values, (na,), backward)
 
 
 # -- shape ------------------------------------------------------------------
@@ -304,12 +382,12 @@ def relu(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     out_values = a.values.reshape(shape)
-    in_shape = a.shape
+    na = a._node
 
     def backward(g):
-        _accumulate(a, g.reshape(in_shape))
+        _accumulate(na, g.reshape(na.shape))
 
-    return _result(out_values, (a,), backward)
+    return _result(out_values, (na,), backward)
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -318,40 +396,39 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
     out_values = np.transpose(a.values, axes)
+    na = a._node
 
     def backward(g):
-        _accumulate(a, np.transpose(g, inverse))
+        _accumulate(na, np.transpose(g, inverse))
 
-    return _result(out_values, (a,), backward)
+    return _result(out_values, (na,), backward)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_values = a.values.sum(axis=axis, keepdims=keepdims)
-    in_shape = a.shape
+    na = a._node
 
     def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, in_shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, in_shape).copy())
+        _accumulate(na, np.broadcast_to(g, na.shape).copy())
 
-    return _result(out_values, (a,), backward)
+    return _result(out_values, (na,), backward)
 
 
 def diagonal(a: Tensor) -> Tensor:
     if a.values.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"diagonal expects a square matrix, got {a.shape}")
     out_values = np.diagonal(a.values).copy()
-    n = a.shape[0]
+    na = a._node
 
     def backward(g):
-        full = np.zeros_like(a.values)
-        full[np.arange(n), np.arange(n)] = g
-        _accumulate(a, full)
+        full = np.zeros(na.shape, dtype=na.dtype)
+        idx = np.arange(na.shape[0])
+        full[idx, idx] = g
+        _accumulate(na, full)
 
-    return _result(out_values, (a,), backward)
+    return _result(out_values, (na,), backward)
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -367,12 +444,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if av.ndim == 3 and av.shape[0] != bv.shape[0]:
         raise ShapeError(f"matmul batch dimensions disagree: {a.shape} x {b.shape}")
     out_values = av @ bv
+    na, nb = a._node, b._node
 
     def backward(g):
-        _accumulate(a, g @ bv.swapaxes(-1, -2))
-        _accumulate(b, av.swapaxes(-1, -2) @ g)
+        _accumulate(na, g @ bv.swapaxes(-1, -2))
+        _accumulate(nb, av.swapaxes(-1, -2) @ g)
 
-    return _result(out_values, (a, b), backward)
+    return _result(out_values, (na, nb), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -401,18 +479,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
     flat_shape = out_values.shape
     if xv.ndim != 2:
         out_values = out_values.reshape((*xv.shape[:-1], wv.shape[1]))
+    nx, nw = x._node, w._node
+    nb = None if b is None else b._node
 
     def backward(g):
-        if xv.ndim != 2:
+        if len(nx.shape) != 2:
             g = g.reshape(flat_shape)
-        if b is not None:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g, nb.shape))
         gx = g @ wv.swapaxes(-1, -2)
         xr, gr = (flat, g) if rows is None else (rows.pad(flat), rows.pad(g))
-        _accumulate(w, xr.swapaxes(-1, -2) @ gr)
-        _accumulate(x, gx if xv.ndim == 2 else gx.reshape(xv.shape))
+        _accumulate(nw, xr.swapaxes(-1, -2) @ gr)
+        _accumulate(nx, gx if len(nx.shape) == 2 else gx.reshape(nx.shape))
 
-    return _result(out_values, (x, w) if b is None else (x, w, b), backward)
+    return _result(out_values, (nx, nw) if nb is None else (nx, nw, nb), backward)
 
 
 # -- valid-row layout -----------------------------------------------------------
@@ -455,11 +535,12 @@ def scatter_rows(x: Tensor, rows: RowLayout) -> Tensor:
     if x.values.ndim != 2 or x.shape[0] != rows.n:
         raise ShapeError(f"scatter_rows expects ({rows.n}, d) packed rows, got {x.shape}")
     out_values = rows.pad(x.values).reshape((*rows.shape, x.shape[1]))
+    nx = x._node
 
     def backward(g):
-        _accumulate(x, rows.pack(g))
+        _accumulate(nx, rows.pack(g))
 
-    return _result(out_values, (x,), backward)
+    return _result(out_values, (nx,), backward)
 
 
 def gather_rows(x: Tensor, rows: RowLayout) -> Tensor:
@@ -467,13 +548,13 @@ def gather_rows(x: Tensor, rows: RowLayout) -> Tensor:
     if x.values.ndim != 3 or x.shape[:2] != rows.shape:
         raise ShapeError(f"gather_rows expects a ({rows.shape[0]}, {rows.shape[1]}, d) array, "
                          f"got {x.shape}")
-    in_shape = x.shape
     out_values = rows.pack(x.values)
+    nx = x._node
 
     def backward(g):
-        _accumulate(x, rows.pad(g).reshape(in_shape))
+        _accumulate(nx, rows.pad(g).reshape(nx.shape))
 
-    return _result(out_values, (x,), backward)
+    return _result(out_values, (nx,), backward)
 
 
 # -- softmax family -----------------------------------------------------------
@@ -503,11 +584,12 @@ def masked_softmax(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     """
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
     out_values = _softmax_values(a.values, mask, axis)
+    na = a._node
 
     def backward(g):
-        _accumulate(a, _softmax_grad(out_values, g, axis))
+        _accumulate(na, _softmax_grad(out_values, g, axis))
 
-    return _result(out_values, (a,), backward)
+    return _result(out_values, (na,), backward)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
@@ -554,6 +636,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
         capture.append(weights.copy())
     weights = weights.reshape((B * num_heads, tq, tk))
     out_values = np.ascontiguousarray(merge(weights @ v3, tq))
+    nq, nk, nv = q._node, k._node, v._node
 
     def backward(g):
         g_heads = np.transpose(g.reshape((B, tq, num_heads, hd)), (0, 2, 1, 3))
@@ -563,11 +646,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
         g_scores = _softmax_grad(weights, g_weights, -1) * scale
         g_q3 = g_scores @ k3t.swapaxes(-1, -2)
         g_k3 = np.transpose(q3.swapaxes(-1, -2) @ g_scores, (0, 2, 1))
-        _accumulate(q, merge(g_q3, tq))
-        _accumulate(k, merge(g_k3, tk))
-        _accumulate(v, merge(g_v3, tk))
+        _accumulate(nq, merge(g_q3, tq))
+        _accumulate(nk, merge(g_k3, tk))
+        _accumulate(nv, merge(g_v3, tk))
 
-    return _result(out_values, (q, k, v), backward)
+    return _result(out_values, (nq, nk, nv), backward)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -575,11 +658,12 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out_values = shifted - log_norm
     soft = np.exp(out_values)
+    na = a._node
 
     def backward(g):
-        _accumulate(a, g - soft * g.sum(axis=axis, keepdims=True))
+        _accumulate(na, g - soft * g.sum(axis=axis, keepdims=True))
 
-    return _result(out_values, (a,), backward)
+    return _result(out_values, (na,), backward)
 
 
 # -- normalization -------------------------------------------------------------
@@ -605,21 +689,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = _mean_last(np.square(centered))
     inv = 1.0 / np.sqrt(var + eps)
     xhat = np.multiply(centered, inv, out=centered)
-    out_values = xhat * gain.values + bias.values
+    gv = gain.values
+    out_values = xhat * gv + bias.values
+    nx, ngain, nbias = x._node, gain._node, bias._node
 
     def backward(g):
-        gx = g * gain.values
+        gx = g * gv
         mean_gx = _mean_last(gx)
         prod = gx * xhat
         mean_prod = _mean_last(prod)
         np.subtract(gx, mean_gx, out=gx)
         np.subtract(gx, np.multiply(xhat, mean_prod, out=prod), out=gx)
-        _accumulate(x, np.multiply(gx, inv, out=gx))
+        _accumulate(nx, np.multiply(gx, inv, out=gx))
         lead = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=lead))
-        _accumulate(bias, g.sum(axis=lead))
+        _accumulate(ngain, (g * xhat).sum(axis=lead))
+        _accumulate(nbias, g.sum(axis=lead))
 
-    return _result(out_values, (x, gain, bias), backward)
+    return _result(out_values, (nx, ngain, nbias), backward)
 
 
 def batch_norm_train(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -639,14 +725,14 @@ def batch_norm_train(x: Tensor, eps: float = 1e-5) -> Tensor:
     var = x.values.var(axis=0, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.values - mu) * inv
-    out_values = xhat
+    nx = x._node
 
     def backward(g):
         term = g - g.mean(axis=0, keepdims=True) \
             - xhat * (g * xhat).mean(axis=0, keepdims=True)
-        _accumulate(x, term * inv)
+        _accumulate(nx, term * inv)
 
-    return _result(out_values, (x,), backward)
+    return _result(xhat, (nx,), backward)
 
 
 # -- lookup / gather ------------------------------------------------------------
@@ -659,17 +745,18 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= V):
         raise IndexError(f"embedding id out of range [0, {V}): min={ids.min()}, max={ids.max()}")
     out_values = table.values[ids]
+    nt = table._node
 
     def backward(g):
-        if not table.requires_grad:
+        if not nt.requires_grad:
             return
         # Scatter into a copy of the gradient so far: one buffer per lookup,
         # summed afterwards, would change the order of the additions.
-        grad = np.zeros_like(table.values) if table.grad is None else table.grad.copy()
-        np.add.at(grad, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-        table.grad = grad
+        grad = np.zeros(nt.shape, dtype=nt.dtype) if nt.grad is None else nt.grad.copy()
+        np.add.at(grad, ids.reshape(-1), g.reshape(-1, nt.shape[1]))
+        nt.grad = grad
 
-    return _result(out_values, (table,), backward)
+    return _result(out_values, (nt,), backward)
 
 
 def take_along_last(x: Tensor, ids: np.ndarray) -> Tensor:
@@ -682,13 +769,14 @@ def take_along_last(x: Tensor, ids: np.ndarray) -> Tensor:
         raise IndexError(f"take_along_last index out of range [0, {V})")
     out_values = np.take_along_axis(x.values, ids[..., None], axis=-1)[..., 0]
     lead_idx = np.indices(ids.shape)
+    nx = x._node
 
     def backward(g):
-        full = np.zeros_like(x.values)
+        full = np.zeros(nx.shape, dtype=nx.dtype)
         np.add.at(full, (*lead_idx, ids), g)
-        _accumulate(x, full)
+        _accumulate(nx, full)
 
-    return _result(out_values, (x,), backward)
+    return _result(out_values, (nx,), backward)
 
 
 # -- mask-aware pooling ----------------------------------------------------------
@@ -704,11 +792,12 @@ def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
         raise DegenerateInputError("mean pool: a row has no unmasked position")
     m = mask[..., None].astype(x.dtype)
     out_values = (x.values * m).sum(axis=1) / counts[:, None]
+    nx = x._node
 
     def backward(g):
-        _accumulate(x, m * (g / counts[:, None])[:, None, :])
+        _accumulate(nx, m * (g / counts[:, None])[:, None, :])
 
-    return _result(out_values, (x,), backward)
+    return _result(out_values, (nx,), backward)
 
 
 def masked_max_pool(x: Tensor, mask: np.ndarray) -> Tensor:
@@ -724,13 +813,14 @@ def masked_max_pool(x: Tensor, mask: np.ndarray) -> Tensor:
     bi = np.arange(B)[:, None]
     hi = np.arange(H)[None, :]
     out_values = x.values[bi, arg, hi]
+    nx = x._node
 
     def backward(g):
-        full = np.zeros_like(x.values)
+        full = np.zeros(nx.shape, dtype=nx.dtype)
         np.add.at(full, (bi, arg, hi), g)
-        _accumulate(x, full)
+        _accumulate(nx, full)
 
-    return _result(out_values, (x,), backward)
+    return _result(out_values, (nx,), backward)
 
 
 # -- gradient checking --------------------------------------------------------

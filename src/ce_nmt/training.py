@@ -100,7 +100,7 @@ class AdamOptimizer:
         bc2 = 1.0 - self.beta2 ** self.step_count
         for k, t in self.params.items():
             # The moments are the optimizer's own and are updated in place;
-            # ``t.grad`` may be shared with other tape nodes and is only read.
+            # ``t.grad`` may be another parameter's gradient too, and is only read.
             # Every operation keeps the order and rounding of
             #   m = beta1 * m + (1 - beta1) * g
             #   v = beta2 * v + (1 - beta2) * g * g

@@ -8,6 +8,7 @@ side, lengths 3-10, 2000 train / 200 test pairs) and a small transformer
 """
 
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ def test_criterion_03_gradient_suite():
     worst_op = 0.0
     for name, case in sorted(OP_CASES.items()):
         for trial in range(5):
-            rng = np.random.default_rng(hash(name) % 2**32 + 10_000 + trial)
+            rng = np.random.default_rng(zlib.crc32(name.encode()) + 10_000 + trial)
             f, inputs = case(rng)
             worst_op = max(worst_op, N.grad_check(f, inputs))
 
