@@ -12,6 +12,7 @@ Readers report 1-based line numbers in errors.
 from __future__ import annotations
 
 import collections
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -141,9 +142,9 @@ def build_vocab(sentences, min_freq: int = 1, max_size: int = 50_000) -> Vocabul
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
     if max_size <= 4:
         raise ValueError(f"max_size must exceed the 4 reserved entries, got {max_size}")
-    counts: collections.Counter = collections.Counter()
-    for sent in sentences:
-        counts.update(t for t in sent if t not in RESERVED_TOKENS)
+    counts = collections.Counter(itertools.chain.from_iterable(sentences))
+    for tok in RESERVED_TOKENS:
+        counts.pop(tok, None)
     kept = sorted(
         (tok for tok, c in counts.items() if c >= min_freq),
         key=lambda tok: (-counts[tok], tok),

@@ -10,15 +10,18 @@ ops that the fused ``numerics.linear`` and ``numerics.multi_head_attention``
 replace. ``layer_norm_reference`` is layer norm with ``np.mean`` and
 ``np.var``, and ``encode_reference`` is the encoder on the padded (B, t)
 layout, PAD rows included, that the packed ``model.encode`` replaces.
+``build_vocab_reference`` is the per-sentence counting loop that the
+one-pass ``data.build_vocab`` replaces.
 """
 
+import collections
 import math
 
 import numpy as np
 
 from ce_nmt import model as M
 from ce_nmt import numerics as N
-from ce_nmt.data import BOS, EOS, PAD
+from ce_nmt.data import BOS, EOS, PAD, RESERVED_TOKENS, Vocabulary
 
 BN_EPS = 1e-5
 CORR_EPS = 1e-9
@@ -198,3 +201,19 @@ def encode_reference(src_ids, src_mask, params, cfg, rng=None, capture=None):
         ff_out = M._ff(M._ln(x, params, f"layer{i}.ln2"), params, f"layer{i}.ff")
         x = x + M._dropout(ff_out, cfg.dropout, rng)
     return M.LatentSequence(M._ln(x, params, "final_ln"), src_mask)
+
+
+def build_vocab_reference(sentences, min_freq: int = 1, max_size: int = 50_000) -> Vocabulary:
+    """``data.build_vocab`` as one ``Counter.update`` per sentence."""
+    if min_freq < 1:
+        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
+    if max_size <= 4:
+        raise ValueError(f"max_size must exceed the 4 reserved entries, got {max_size}")
+    counts: collections.Counter = collections.Counter()
+    for sent in sentences:
+        counts.update(t for t in sent if t not in RESERVED_TOKENS)
+    kept = sorted(
+        (tok for tok, c in counts.items() if c >= min_freq),
+        key=lambda tok: (-counts[tok], tok),
+    )
+    return Vocabulary(kept[: max_size - len(RESERVED_TOKENS)])

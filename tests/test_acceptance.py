@@ -4,7 +4,8 @@ Each test prints one ``[ACCEPTANCE nn] name: PASS/FAIL`` line (visible with
 ``pytest -s``). Criteria 5-9 share one end-to-end toy run built by the
 module-scoped fixture: a substitution-cipher language pair (vocab 50 per
 side, lengths 3-10, 2000 train / 200 test pairs) and a small transformer
-(2 layers, width 64, 4 heads).
+(2 layers, width 64, 4 heads). Criteria 5-10 use that run and are marked
+``slow``: ``pytest -m "not slow"`` skips them and the toy run.
 """
 
 import time
@@ -206,6 +207,7 @@ def test_criterion_04_mask_and_causality():
             f"{configs} randomized configurations, all exact at 64-bit")
 
 
+@pytest.mark.slow
 def test_criterion_05_toy_translation(toy):
     ok = toy["bleu_pre"] >= 95.0 and toy["t_stage1"] < STAGE1_BUDGET_S
     _report(5, "toy translation end-to-end", ok,
@@ -213,6 +215,7 @@ def test_criterion_05_toy_translation(toy):
             f"{toy['t_stage1']:.0f}s of {STAGE1_BUDGET_S}s budget")
 
 
+@pytest.mark.slow
 def test_criterion_06_ce_behavior(toy):
     first, last = toy["history"][0], toy["history"][-1]
     inv_ratio = last["invariance"] / first["invariance"]
@@ -225,6 +228,7 @@ def test_criterion_06_ce_behavior(toy):
             f"(x{red_ratio:.3f}, need <= 0.5), {toy['t_ce']:.0f}s of {CE_BUDGET_S}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_agnosticism_probe(toy):
     res = toy["protocol"]
     ordering = "a2 < a3 < a1" if res.a2 < res.a3 < res.a1 else "not a2 < a3 < a1"
@@ -235,6 +239,7 @@ def test_criterion_07_agnosticism_probe(toy):
             "(reported, not asserted)")
 
 
+@pytest.mark.slow
 def test_criterion_08_centroid_protocol(toy):
     rng = np.random.default_rng(8)
     rand_centered = subtract_centroid(rng.normal(size=(64, 16)) * 5 + 3)
@@ -252,6 +257,7 @@ def test_criterion_08_centroid_protocol(toy):
             f"word ({word.a1:.3f}, {word.a2:.3f}, {word.a3:.3f})")
 
 
+@pytest.mark.slow
 def test_criterion_09_no_regression_guard(toy):
     delta = toy["bleu_ft"] - toy["bleu_pre"]
     ok = abs(delta) <= 2.0
@@ -260,6 +266,7 @@ def test_criterion_09_no_regression_guard(toy):
             f"delta {delta:+.2f} (need within +/- 2; improvement logged, not asserted)")
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism_and_persistence(toy, tmp_path):
     # (a) fixed-seed pipeline reruns: byte-identical 64-bit metrics logs
     corpus = make_cipher_corpus(30, vocab_size=12, min_len=2, max_len=4, seed=0)

@@ -302,19 +302,21 @@ def test_eval_stage_mismatch_exits_2(toy_files, capsys):
     assert "requires a decoder" in capsys.readouterr().err
 
 
+def _run_module(*args):
+    src_dir = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, CE_NMT_LOG="quiet",
+               PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_input_error_printed_once_on_stderr(toy_files):
     # A separate process: in-process, pytest's log capture would hide a
     # second copy sent through the logging module.
     tmp, src, tgt = toy_files
-    src_dir = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, CE_NMT_LOG="quiet",
-               PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
     missing = tmp / "missing.ckpt"
-    proc = subprocess.run(
-        [sys.executable, "-m", "ce_nmt.cli", "eval", "--mode", "bleu",
-         "--checkpoint", str(missing), "--source", src, "--target", tgt,
-         "--out", str(tmp / "e")],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_module("ce_nmt.cli", "eval", "--mode", "bleu", "--checkpoint", str(missing),
+                       "--source", src, "--target", tgt, "--out", str(tmp / "e"))
     assert proc.returncode == 2
     assert proc.stderr.count("checkpoint not found") == 1
     assert proc.stderr.splitlines() == [f"error: checkpoint not found: {missing}"]
@@ -399,3 +401,25 @@ def test_unknown_env_log_level_warns(monkeypatch, capsys, toy_files):
     code = cli.main(["prepare", "--source", src, "--target", tgt, "--out", str(tmp / "o")])
     assert code == 0
     assert "CE_NMT_LOG" in capsys.readouterr().err
+
+
+# -- python -m ce_nmt.synthetic ---------------------------------------------------------
+
+def test_synthetic_writes_a_corpus_that_prepare_reads(tmp_path, capsys):
+    proc = _run_module("ce_nmt.synthetic", str(tmp_path / "c"), "--pairs", "5",
+                       "--test-pairs", "1", "--vocab-size", "1")
+    assert proc.returncode == 0, proc.stderr
+    code = cli.main(["prepare", "--source", str(tmp_path / "c" / "train.src"),
+                     "--target", str(tmp_path / "c" / "train.tgt"), "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["pair_count"] == 5
+
+
+@pytest.mark.parametrize("flag", ["--pairs", "--test-pairs", "--vocab-size"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_synthetic_rejects_counts_below_one(tmp_path, flag, value):
+    out = tmp_path / "c"
+    proc = _run_module("ce_nmt.synthetic", str(out), flag, value)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {flag} must be >= 1, got {value}"]
+    assert not out.exists()

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from _oracles import build_vocab_reference
 
 from ce_nmt import data
 from ce_nmt.data import (
@@ -19,6 +22,7 @@ from ce_nmt.data import (
     tokenize,
 )
 from ce_nmt.errors import CorpusFormatError, EmbeddingFormatError
+from ce_nmt.synthetic import make_cipher_corpus, make_identity_corpus
 
 
 def make_corpus(pairs):
@@ -67,6 +71,36 @@ def test_build_vocab_truncates_to_max_size():
     sentences = [["a"] * 5, ["b"] * 4, ["c"] * 3]
     v = build_vocab(sentences, max_size=5)
     assert v.non_reserved() == ["a"]
+
+
+def test_build_vocab_skips_reserved_token_strings():
+    v = build_vocab([["<unk>", "a", "<pad>"], ["<eos>", "<bos>", "<unk>", "a"]])
+    assert v.non_reserved() == ["a"]
+    assert v.tokens()[:4] == list(data.RESERVED_TOKENS)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_build_vocab_matches_per_sentence_reference(seed):
+    # Small alphabets with reserved strings mixed in give equal-count ties,
+    # reserved collisions and tokens on both sides of the min_freq and
+    # max_size cuts.
+    rng = np.random.default_rng(seed)
+    alphabet = [f"w{i}" for i in range(int(rng.integers(1, 30)))] + list(data.RESERVED_TOKENS)
+    sentences = [[alphabet[i] for i in rng.integers(0, len(alphabet), size=int(rng.integers(0, 9)))]
+                 for _ in range(int(rng.integers(0, 60)))]
+    for min_freq in (1, 2, 5):
+        for max_size in (5, 9, 50_000):
+            want = build_vocab_reference(sentences, min_freq=min_freq, max_size=max_size)
+            assert build_vocab(sentences, min_freq=min_freq, max_size=max_size).tokens() \
+                == want.tokens()
+            got = build_vocab((tuple(s) for s in sentences), min_freq=min_freq, max_size=max_size)
+            assert got.tokens() == want.tokens()
+
+
+@pytest.mark.parametrize("kwargs", [dict(min_freq=0), dict(max_size=4)])
+def test_build_vocab_rejects_bad_cuts(kwargs):
+    with pytest.raises(ValueError):
+        build_vocab([["a"]], **kwargs)
 
 
 def test_vocab_reserved_ids_fixed():
@@ -257,3 +291,34 @@ def test_subtract_centroid_idempotent():
     once = subtract_centroid(x)
     twice = subtract_centroid(once)
     assert np.max(np.abs(once - twice)) < 1e-12
+
+
+# -- synthetic corpora ----------------------------------------------------
+
+
+def _token_stream_sha256(corpus) -> str:
+    text = "".join(" ".join(p.source) + "\t" + " ".join(p.target) + "\n" for p in corpus)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_synthetic_token_streams_pinned():
+    # The bench's seed-1 corpus and a copy-task corpus: every seeded corpus
+    # the bench digests and pinned-output tests rest on must stay the same.
+    assert _token_stream_sha256(make_cipher_corpus(2000, seed=1_000_004)) \
+        == "fed1c018ef94fd7b2dc6a329eae887edee44e981231d8dc1594a66be87e2be93"
+    assert _token_stream_sha256(make_identity_corpus(300, seed=3)) \
+        == "c9d83c70eaa81a43ef53458d8e515a093f53acb8982dc22f0f669f561a44606e"
+
+
+@pytest.mark.parametrize("make", [make_cipher_corpus, make_identity_corpus])
+@pytest.mark.parametrize("kwargs", [dict(vocab_size=0), dict(min_len=0),
+                                    dict(min_len=5, max_len=4)])
+def test_synthetic_rejects_bad_sizes(make, kwargs):
+    # Zero pairs: the sizes are checked up front, not left to the first draw.
+    with pytest.raises(ValueError):
+        make(0, **kwargs)
+
+
+def test_synthetic_single_word_and_fixed_length():
+    corpus = make_cipher_corpus(4, vocab_size=1, min_len=2, max_len=2)
+    assert [(p.source, p.target) for p in corpus] == [(("s00", "s00"), ("t00", "t00"))] * 4
