@@ -239,6 +239,13 @@ def _load_checkpoint_arg(cfg: RunConfig, attr: str = "checkpoint") -> TR.Checkpo
     return TR.load_checkpoint(path, dtype=cfg.dtype())
 
 
+def _check_vocab_size(vocab_path, vocab: Vocabulary, size: int, ckpt_path) -> None:
+    """Token ids index the checkpoint's embedding rows, so the sizes must agree."""
+    if len(vocab) != size:
+        raise ConfigError(f"{vocab_path} holds {len(vocab)} tokens, but the checkpoint "
+                          f"{ckpt_path} was built for {size}")
+
+
 def _open_run(cfg: RunConfig, from_checkpoint: bool, save_vocabs: bool = True):
     """(corpus, checkpoint or None, vocab_src, vocab_tgt, out): the corpus, then
     ``--checkpoint`` and the vocabularies next to it or new ones, then ``--out``."""
@@ -251,6 +258,8 @@ def _open_run(cfg: RunConfig, from_checkpoint: bool, save_vocabs: bool = True):
         if not src.exists() or not tgt.exists():
             raise ConfigError(f"vocabulary files not found next to checkpoint in {folder}")
         vocab_src, vocab_tgt = Vocabulary.load(src), Vocabulary.load(tgt)
+        _check_vocab_size(src, vocab_src, ckpt.config.src_vocab, cfg.checkpoint)
+        _check_vocab_size(tgt, vocab_tgt, ckpt.config.tgt_vocab, cfg.checkpoint)
     else:
         vocab_src, vocab_tgt = _build_vocabs(cfg, corpus)
     out = Path(cfg.out)
@@ -359,6 +368,8 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     if cfg.mode == "classify":
         baseline_ckpt = _load_checkpoint_arg(cfg, "baseline_checkpoint")
+        _check_vocab_size(Path(cfg.checkpoint).parent / "vocab.src.txt", vocab_src,
+                          baseline_ckpt.config.src_vocab, cfg.baseline_checkpoint)
         baseline, labels = E.corpus_probe_embeddings(baseline_ckpt, corpus, vocab_src,
                                                      batch_size=cfg.batch_size)
         enhanced, _ = E.corpus_probe_embeddings(ckpt, corpus, vocab_src,

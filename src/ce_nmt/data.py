@@ -4,7 +4,8 @@ External formats:
   - parallel corpus: two line-aligned UTF-8 files, one sentence per line,
   - embedding file: header "<count> <dim>", then "<token> <v1> ... <vdim>"
     rows with space-separated decimal floats,
-  - vocabulary file: one token per line, line number = id.
+  - vocabulary file: one token per line, line number = id; the first four
+    lines are the reserved tokens, and no line is empty or repeated.
 
 Readers report 1-based line numbers in errors.
 """
@@ -25,11 +26,9 @@ PAD, BOS, EOS, UNK = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
 
-def tokenize(line: str, lowercase: bool = True) -> list[str]:
-    """Split on Unicode whitespace; never returns empty tokens."""
-    if lowercase:
-        line = line.lower()
-    return line.split()
+def tokenize(line: str) -> list[str]:
+    """Lowercase, then split on Unicode whitespace; never returns empty tokens."""
+    return line.lower().split()
 
 
 class Vocabulary:
@@ -72,18 +71,26 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """Read a vocabulary file; an empty or repeated token line is an error,
+        since it would shift every later id off its line number."""
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         if tuple(lines[:4]) != RESERVED_TOKENS:
             raise CorpusFormatError(f"vocabulary file {path} does not start with reserved tokens", line=1)
-        return cls(lines[4:])
+        vocab = cls()
+        for lineno, token in enumerate(lines[4:], start=len(RESERVED_TOKENS) + 1):
+            if not token.strip():
+                raise CorpusFormatError(f"vocabulary file {path} has an empty token", line=lineno)
+            if token in vocab:
+                raise CorpusFormatError(f"vocabulary file {path} repeats token {token!r} "
+                                        f"of line {vocab.id(token) + 1}", line=lineno)
+            vocab.add(token)
+        return vocab
 
 
 @dataclass(frozen=True)
 class SentencePair:
     source: tuple[str, ...]
     target: tuple[str, ...]
-    source_lang: str = "src"
-    target_lang: str = "tgt"
 
 
 @dataclass
@@ -108,8 +115,7 @@ def _read_utf8_lines(path) -> list[str]:
     return decoded
 
 
-def load_parallel_corpus(source_path, target_path, lowercase: bool = True,
-                         source_lang: str = "src", target_lang: str = "tgt") -> ParallelCorpus:
+def load_parallel_corpus(source_path, target_path) -> ParallelCorpus:
     """Read two line-aligned files into a corpus of tokenized pairs.
 
     Empty sides (after tokenization) and line-count mismatches are errors.
@@ -124,11 +130,11 @@ def load_parallel_corpus(source_path, target_path, lowercase: bool = True,
         raise CorpusFormatError("empty corpus")
     pairs = []
     for i, (s, t) in enumerate(zip(src_lines, tgt_lines), start=1):
-        src_tok = tokenize(s, lowercase)
-        tgt_tok = tokenize(t, lowercase)
+        src_tok = tokenize(s)
+        tgt_tok = tokenize(t)
         if not src_tok or not tgt_tok:
             raise CorpusFormatError("empty sentence after tokenization", line=i)
-        pairs.append(SentencePair(tuple(src_tok), tuple(tgt_tok), source_lang, target_lang))
+        pairs.append(SentencePair(tuple(src_tok), tuple(tgt_tok)))
     return ParallelCorpus(pairs)
 
 

@@ -28,6 +28,12 @@ from .losses import cross_correlation
 from .numerics import no_grad
 
 MIN_SAMPLES_PER_LANGUAGE = 10
+SOURCE_LANG, TARGET_LANG = "src", "tgt"    # probe labels of a corpus's two sides
+PROBE_LR = 0.5
+PROBE_EPOCHS = 300
+PROBE_TRAIN_FRAC = 0.8
+BLEU_MAX_N = 4
+DIAGNOSTIC_CORRELATION_BATCHES = 2
 
 
 # -- linear probe -----------------------------------------------------------------
@@ -46,9 +52,6 @@ class ProbeClassifier:
     feature_mean: np.ndarray
     feature_scale: np.ndarray
     languages: list[str]
-    lr: float
-    epochs: int
-    seed: int
 
     def _features(self, embeddings: np.ndarray) -> np.ndarray:
         return (np.asarray(embeddings, dtype=np.float64) - self.feature_mean) / self.feature_scale
@@ -67,17 +70,13 @@ class ProbeClassifier:
         return float((pred == idx).mean()), confusion
 
 
-def _class_counts(labels) -> dict:
-    return dict(collections.Counter(labels))
-
-
 def _validate_probe_inputs(embeddings: np.ndarray, labels) -> list[str]:
     embeddings = np.asarray(embeddings)
     if embeddings.ndim != 2 or embeddings.shape[0] != len(labels):
         raise ProtocolError(
             f"embeddings {embeddings.shape} must be (M, h) row-aligned with {len(labels)} labels"
         )
-    counts = _class_counts(labels)
+    counts = collections.Counter(labels)
     if len(counts) < 2:
         raise ProtocolError(f"need at least 2 languages, got {sorted(counts)}")
     thin = {l: c for l, c in counts.items() if c < MIN_SAMPLES_PER_LANGUAGE}
@@ -86,8 +85,9 @@ def _validate_probe_inputs(embeddings: np.ndarray, labels) -> list[str]:
     return sorted(counts)
 
 
-def stratified_split(labels, seed: int, train_frac: float = 0.8) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic per-language 80/20 split with at least one test row each."""
+def stratified_split(labels, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic per-language split, ``PROBE_TRAIN_FRAC`` of the rows to
+    training, with at least one test row each."""
     rng = np.random.default_rng(seed)
     labels = np.asarray(labels, dtype=object)
     train_idx: list[int] = []
@@ -95,14 +95,13 @@ def stratified_split(labels, seed: int, train_frac: float = 0.8) -> tuple[np.nda
     for lang in sorted(set(labels.tolist())):
         idx = np.flatnonzero(labels == lang)
         idx = idx[rng.permutation(len(idx))]
-        n_test = max(1, int(round((1.0 - train_frac) * len(idx))))
+        n_test = max(1, int(round((1.0 - PROBE_TRAIN_FRAC) * len(idx))))
         test_idx.extend(idx[:n_test].tolist())
         train_idx.extend(idx[n_test:].tolist())
     return np.sort(np.array(train_idx)), np.sort(np.array(test_idx))
 
 
-def fit_probe(embeddings: np.ndarray, labels, languages: list[str],
-              lr: float = 0.5, epochs: int = 300, seed: int = 0) -> ProbeClassifier:
+def fit_probe(embeddings: np.ndarray, labels, languages: list[str]) -> ProbeClassifier:
     """Full-batch gradient descent on softmax cross-entropy from zero weights."""
     X = np.asarray(embeddings, dtype=np.float64)
     y = np.array([languages.index(l) for l in labels])
@@ -115,28 +114,15 @@ def fit_probe(embeddings: np.ndarray, labels, languages: list[str],
     b = np.zeros(L)
     onehot = np.zeros((n, L))
     onehot[np.arange(n), y] = 1.0
-    for _ in range(epochs):
+    for _ in range(PROBE_EPOCHS):
         logits = Xs @ W + b
         logits -= logits.max(axis=1, keepdims=True)
         probs = np.exp(logits)
         probs /= probs.sum(axis=1, keepdims=True)
         delta = (probs - onehot) / n
-        W -= lr * (Xs.T @ delta)
-        b -= lr * delta.sum(axis=0)
-    return ProbeClassifier(W, b, mean, scale, list(languages), lr, epochs, seed)
-
-
-def train_probe(embeddings: np.ndarray, labels, split_seed: int,
-                lr: float = 0.5, epochs: int = 300) -> tuple[ProbeClassifier, float]:
-    """Train on a stratified 80% split, report holdout accuracy on the rest."""
-    languages = _validate_probe_inputs(embeddings, labels)
-    X = np.asarray(embeddings, dtype=np.float64)
-    labels = list(labels)
-    train_idx, test_idx = stratified_split(labels, split_seed)
-    probe = fit_probe(X[train_idx], [labels[i] for i in train_idx], languages,
-                      lr=lr, epochs=epochs, seed=split_seed)
-    accuracy, _ = probe.evaluate(X[test_idx], [labels[i] for i in test_idx])
-    return probe, accuracy
+        W -= PROBE_LR * (Xs.T @ delta)
+        b -= PROBE_LR * delta.sum(axis=0)
+    return ProbeClassifier(W, b, mean, scale, list(languages))
 
 
 # -- protocols ----------------------------------------------------------------------
@@ -177,10 +163,10 @@ def run_protocol(baseline: np.ndarray, enhanced: np.ndarray, labels, seed: int,
     train_idx, test_idx = stratified_split(labels, seed)
     test_labels = [labels[i] for i in test_idx]
 
-    c1 = fit_probe(baseline[train_idx], [labels[i] for i in train_idx], languages, seed=seed)
+    c1 = fit_probe(baseline[train_idx], [labels[i] for i in train_idx], languages)
     a1, conf1 = c1.evaluate(baseline[test_idx], test_labels)
     a2, conf2 = c1.evaluate(enhanced[test_idx], test_labels)
-    c2 = fit_probe(enhanced[train_idx], [labels[i] for i in train_idx], languages, seed=seed)
+    c2 = fit_probe(enhanced[train_idx], [labels[i] for i in train_idx], languages)
     a3, conf3 = c2.evaluate(enhanced[test_idx], test_labels)
     return ProtocolResult(a1, a2, a3, variant, languages, len(labels),
                           {"a1": conf1, "a2": conf2, "a3": conf3})
@@ -199,10 +185,10 @@ def _ngram_counts(tokens, n: int) -> collections.Counter:
     return collections.Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(hypotheses, references, max_n: int = 4) -> float:
+def bleu(hypotheses, references) -> float:
     """Corpus-level tokenized BLEU in [0, 100].
 
-    Geometric mean of modified n-gram precisions (n = 1..max_n) times the
+    Geometric mean of modified n-gram precisions (n = 1..BLEU_MAX_N) times the
     brevity penalty. Smoothing rule, fixed: an order with zero matches scores
     1 / (2 * candidate n-gram count); orders with no candidate n-grams at all
     (every hypothesis shorter than n) are excluded from the mean. An
@@ -216,7 +202,7 @@ def bleu(hypotheses, references, max_n: int = 4) -> float:
         raise ProtocolError("empty corpus")
     log_sum = 0.0
     orders = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         total = 0
         matched = 0
         for hyp, ref in zip(hypotheses, references):
@@ -242,19 +228,19 @@ def bleu(hypotheses, references, max_n: int = 4) -> float:
 
 @no_grad()
 def greedy_decode(encoder, decoder, cfg: M.ModelConfig, src_ids: np.ndarray,
-                  src_mask: np.ndarray, max_len: int | None = None) -> list[list[int]]:
-    """Greedy decoding; returns per-row token ids between BOS and EOS.
+                  src_mask: np.ndarray) -> list[list[int]]:
+    """Greedy decoding of up to ``cfg.max_len`` positions, BOS included;
+    returns per-row token ids between BOS and EOS.
 
     Each step feeds only the newest token to the decoder, which attends to
     the keys and values it cached for the earlier ones.
     """
-    max_len = max_len or cfg.max_len
     latent = M.encode(src_ids, src_mask, encoder, cfg)
     B = src_ids.shape[0]
     cache = M.DecodeCache()
     ys = np.full((B, 1), BOS, dtype=np.int64)
     done = np.zeros(B, dtype=bool)
-    while ys.shape[1] < max_len and not done.all():
+    while ys.shape[1] < cfg.max_len and not done.all():
         newest = ys[:, -1:]
         logits = M.decode(latent, newest, newest != PAD, decoder, cfg, cache=cache)
         next_ids = logits.values[:, -1, :].argmax(axis=-1).astype(np.int64)
@@ -290,13 +276,12 @@ def translate_corpus(ckpt, corpus: ParallelCorpus, vocab_src: Vocabulary,
 
 @no_grad()
 def pool_sentence_embeddings(encoder, cfg: M.ModelConfig, sentences, vocab: Vocabulary,
-                             pooling: str | None = None, batch_size: int = 64) -> np.ndarray:
-    """Encode token sequences and pool them into an (M, dim) matrix."""
-    pooling = pooling or cfg.pooling
+                             batch_size: int = 64) -> np.ndarray:
+    """Encode token sequences and pool them (``cfg.pooling``) into an (M, dim) matrix."""
     rows: list[np.ndarray] = []
     for ids in source_batches(sentences, vocab, batch_size, cfg.max_len):
         latent = M.encode(ids, ids != PAD, encoder, cfg)
-        rows.append(M.pool(latent, pooling).values.values)
+        rows.append(M.pool(latent, cfg.pooling).values.values)
     return np.vstack(rows)
 
 
@@ -313,7 +298,7 @@ def corpus_probe_embeddings(ckpt, corpus: ParallelCorpus, vocab_enc: Vocabulary,
                                        batch_size=batch_size)
     emb_tgt = pool_sentence_embeddings(ckpt.encoder, ckpt.config, targets, vocab_enc,
                                        batch_size=batch_size)
-    labels = [p.source_lang for p in corpus] + [p.target_lang for p in corpus]
+    labels = [SOURCE_LANG] * len(sources) + [TARGET_LANG] * len(targets)
     return np.vstack([emb_src, emb_tgt]), labels
 
 
@@ -325,18 +310,16 @@ def word_probe_embeddings(ckpt, corpus: ParallelCorpus,
     """
     src_tokens = {t for p in corpus for t in p.source}
     tgt_tokens = {t for p in corpus for t in p.target}
-    src_lang = corpus.pairs[0].source_lang if corpus.pairs else "src"
-    tgt_lang = corpus.pairs[0].target_lang if corpus.pairs else "tgt"
     table = ckpt.encoder["embed"].values
     rows, labels = [], []
     for tok in sorted(src_tokens - tgt_tokens):
         if tok in vocab_enc:
             rows.append(table[vocab_enc.id(tok)])
-            labels.append(src_lang)
+            labels.append(SOURCE_LANG)
     for tok in sorted(tgt_tokens - src_tokens):
         if tok in vocab_enc:
             rows.append(table[vocab_enc.id(tok)])
-            labels.append(tgt_lang)
+            labels.append(TARGET_LANG)
     if not rows:
         raise ProtocolError("no language-exclusive tokens found in the vocabulary")
     return np.vstack(rows), labels
@@ -359,12 +342,13 @@ def _float_row(values) -> list[str]:
 @no_grad()
 def export_diagnostics(ckpt, corpus: ParallelCorpus, vocab_enc: Vocabulary,
                        out_dir, vocab_tgt: Vocabulary | None = None,
-                       batch_size: int = 8, n_probe_batches: int = 2) -> list[Path]:
+                       batch_size: int = 8) -> list[Path]:
     """Dump correlation matrices, attention maps, and embedding tables as CSV.
 
     Written files (availability depends on which parameter groups the
     checkpoint holds):
-      - correlation_batch<k>.csv          d x d matrix per probe batch,
+      - correlation_batch<k>.csv          d x d matrix for each of the first
+                                          DIAGNOSTIC_CORRELATION_BATCHES batches,
       - attention_encoder_self_l<i>_h<j>.csv and, with a decoder,
         attention_decoder_self_... / attention_decoder_cross_...
         one (B*tq) x tk block per layer and head,
@@ -382,7 +366,7 @@ def export_diagnostics(ckpt, corpus: ParallelCorpus, vocab_enc: Vocabulary,
     if ckpt.projection is not None:
         for k, batch in enumerate(batch_iter(corpus, vocab_enc, vocab_enc, batch_size,
                                              max_len=cfg.max_len)):
-            if k >= n_probe_batches:
+            if k >= DIAGNOSTIC_CORRELATION_BATCHES:
                 break
             if batch.size < 2:
                 continue

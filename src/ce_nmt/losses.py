@@ -1,16 +1,16 @@
 """Training objectives: translation cross-entropy and the Barlow Twins loss.
 
 The Barlow Twins loss is computed on a d x d cross-correlation matrix between
-two batches of projections:
+two batches of projections. As in Barlow Twins, each batch is always
+standardized column-wise with ``batch_norm_train`` first, giving zs and zt:
 
     C[i, j] = sum_b zs[b, i] * zt[b, j]
               / (sqrt(sum_b zs[b, i]^2) * sqrt(sum_b zt[b, j]^2))
 
     loss = sum_i (1 - C[i, i])^2  +  lambda * sum_i sum_{j != i} C[i, j]^2
 
-By default each batch is standardized with ``batch_norm_train`` before the
-correlation (mean-centering matters; the correlation's own normalization then
-reduces to division by B). The raw path is exposed via ``apply_bn=False``.
+Mean-centering is what matters; after it the correlation's own normalization
+reduces to division by B.
 """
 
 from __future__ import annotations
@@ -78,12 +78,11 @@ def translation_loss(logits: Tensor, target_ids: np.ndarray,
     return -(masked.sum() * (1.0 / count))
 
 
-def _correlation_tensor(z_s: Tensor, z_t: Tensor, apply_bn: bool, eps: float) -> Tensor:
+def _correlation_tensor(z_s: Tensor, z_t: Tensor, eps: float) -> Tensor:
     if z_s.shape != z_t.shape or len(z_s.shape) != 2:
         raise ShapeError(f"projection batches must share a (B, d) shape: {z_s.shape} vs {z_t.shape}")
-    if apply_bn:
-        z_s = N.batch_norm_train(z_s)
-        z_t = N.batch_norm_train(z_t)
+    z_s = N.batch_norm_train(z_s)
+    z_t = N.batch_norm_train(z_t)
     ss = (z_s * z_s).sum(axis=0)
     tt = (z_t * z_t).sum(axis=0)
     if eps == 0.0 and (np.minimum(ss.values, tt.values) == 0.0).any():
@@ -94,19 +93,18 @@ def _correlation_tensor(z_s: Tensor, z_t: Tensor, apply_bn: bool, eps: float) ->
     return N.matmul(z_s.transpose(), z_t) / (ns * nt)
 
 
-def cross_correlation(z_s: Tensor, z_t: Tensor, apply_bn: bool = True,
-                      eps: float = DENOM_EPS) -> CrossCorrelation:
-    """Eq.-style empirical cross-correlation of two projection batches.
+def cross_correlation(z_s: Tensor, z_t: Tensor, eps: float = DENOM_EPS) -> CrossCorrelation:
+    """Empirical cross-correlation of two batch-normalized projection batches.
 
-    ``apply_bn`` standardizes each batch column-wise first (the default
-    pipeline); ``eps`` guards dead columns inside the denominator roots.
+    ``eps`` guards dead columns inside the denominator roots; with
+    ``eps=0.0`` a zero-norm column raises ``NumericError``.
     """
-    c = _correlation_tensor(z_s, z_t, apply_bn, eps)
+    c = _correlation_tensor(z_s, z_t, eps)
     return CrossCorrelation(values=c.values.copy(), tensor=c)
 
 
 def barlow_twins_loss(z_s: Tensor, z_t: Tensor, lam: float,
-                      apply_bn: bool = True, eps: float = DENOM_EPS) -> CELossBreakdown:
+                      eps: float = DENOM_EPS) -> CELossBreakdown:
     """Invariance plus lambda-weighted redundancy, differentiable end to end.
 
     ``lam`` must be positive in training; zero is accepted as a diagnostic
@@ -114,7 +112,7 @@ def barlow_twins_loss(z_s: Tensor, z_t: Tensor, lam: float,
     """
     if lam < 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    corr = cross_correlation(z_s, z_t, apply_bn=apply_bn, eps=eps)
+    corr = cross_correlation(z_s, z_t, eps=eps)
     c = corr.tensor
     diag = N.diagonal(c)
     invariance = ((1.0 - diag) * (1.0 - diag)).sum()

@@ -101,30 +101,15 @@ class ParamGroup:
         return list(self.tensors.values())
 
     def copy(self) -> "ParamGroup":
-        dup = type(self)({k: Tensor(v.values.copy(), requires_grad=True)
-                          for k, v in self.tensors.items()})
-        return dup
+        return ParamGroup({k: Tensor(v.values.copy(), requires_grad=True)
+                           for k, v in self.tensors.items()})
 
-    def allclose(self, other: "ParamGroup", exact: bool = True) -> bool:
+    def allclose(self, other: "ParamGroup") -> bool:
+        """True when both groups hold the same names with bitwise-equal values."""
         if self.tensors.keys() != other.tensors.keys():
             return False
-        return all(
-            np.array_equal(a.values, other.tensors[k].values) if exact
-            else np.allclose(a.values, other.tensors[k].values)
-            for k, a in self.tensors.items()
-        )
-
-
-class EncoderParams(ParamGroup):
-    pass
-
-
-class DecoderParams(ParamGroup):
-    pass
-
-
-class ProjectionParams(ParamGroup):
-    pass
+        return all(np.array_equal(a.values, other.tensors[k].values)
+                   for k, a in self.tensors.items())
 
 
 GROUPS = ("encoder", "decoder", "projection")
@@ -191,24 +176,24 @@ def _init_group(cfg: ModelConfig, group: str, rng: np.random.Generator, dtype,
 
 
 def init_encoder_params(cfg: ModelConfig, rng: np.random.Generator,
-                        dtype=np.float64, embed_table: np.ndarray | None = None) -> EncoderParams:
+                        dtype=np.float64, embed_table: np.ndarray | None = None) -> ParamGroup:
     """Fresh encoder parameters; ``embed_table`` overrides the embedding init."""
     if embed_table is not None and embed_table.shape != (cfg.src_vocab, cfg.emb_dim):
         raise ConfigError(
             f"embedding table shape {embed_table.shape} does not match "
             f"(src_vocab, emb_dim)=({cfg.src_vocab}, {cfg.emb_dim})"
         )
-    return EncoderParams(_init_group(cfg, "encoder", rng, dtype, embed_table))
+    return ParamGroup(_init_group(cfg, "encoder", rng, dtype, embed_table))
 
 
 def init_decoder_params(cfg: ModelConfig, rng: np.random.Generator,
-                        dtype=np.float64) -> DecoderParams:
-    return DecoderParams(_init_group(cfg, "decoder", rng, dtype))
+                        dtype=np.float64) -> ParamGroup:
+    return ParamGroup(_init_group(cfg, "decoder", rng, dtype))
 
 
 def init_projection_params(cfg: ModelConfig, rng: np.random.Generator,
-                           dtype=np.float64) -> ProjectionParams:
-    return ProjectionParams(_init_group(cfg, "projection", rng, dtype))
+                           dtype=np.float64) -> ParamGroup:
+    return ParamGroup(_init_group(cfg, "projection", rng, dtype))
 
 
 # -- representation records ------------------------------------------------------
@@ -272,19 +257,6 @@ def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
     return x * (keep / (1.0 - rate))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
-              num_heads: int, capture: list | None = None) -> Tensor:
-    """Scaled dot-product attention over ``num_heads`` heads.
-
-    q: (B, tq, h), k/v: (B, tk, h); h must divide evenly into heads
-    (``ShapeError`` otherwise). ``mask`` is boolean, (B, tk) for key padding
-    or (B, tq, tk) for a full pattern; masked keys get exactly zero weight.
-    When ``capture`` is given, the per-head weight array (B, heads, tq, tk)
-    is appended to it. One tape node: ``numerics.multi_head_attention``.
-    """
-    return N.multi_head_attention(q, k, v, mask, num_heads, capture)
-
-
 def _keys_values(x: Tensor, params: ParamGroup, prefix: str) -> tuple[Tensor, Tensor]:
     return N.linear(x, params[f"{prefix}.wk"]), N.linear(x, params[f"{prefix}.wv"])
 
@@ -292,7 +264,7 @@ def _keys_values(x: Tensor, params: ParamGroup, prefix: str) -> tuple[Tensor, Te
 def _mha_layer(x_q: Tensor, kv: tuple[Tensor, Tensor], params: ParamGroup, prefix: str,
                mask: np.ndarray, cfg: ModelConfig, capture: list | None) -> Tensor:
     q = N.linear(x_q, params[f"{prefix}.wq"])
-    out = attention(q, *kv, mask, cfg.heads, capture)
+    out = N.multi_head_attention(q, *kv, mask, cfg.heads, capture)
     return N.linear(out, params[f"{prefix}.wo"])
 
 
@@ -315,7 +287,7 @@ def _embed_inputs(ids: np.ndarray, pe: np.ndarray, params: ParamGroup, cfg: Mode
     return _dropout(x, cfg.dropout, rng, rows)
 
 
-def encode(src_ids: np.ndarray, src_mask: np.ndarray, params: EncoderParams,
+def encode(src_ids: np.ndarray, src_mask: np.ndarray, params: ParamGroup,
            cfg: ModelConfig, rng: np.random.Generator | None = None,
            capture: list | None = None) -> LatentSequence:
     """Map source token ids (B, t) to latent states (B, t, dim), exactly 0.0 at PAD.
@@ -348,7 +320,7 @@ def encode(src_ids: np.ndarray, src_mask: np.ndarray, params: EncoderParams,
 
 
 def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
-           params: DecoderParams, cfg: ModelConfig,
+           params: ParamGroup, cfg: ModelConfig,
            rng: np.random.Generator | None = None,
            self_capture: list | None = None,
            cross_capture: list | None = None,
@@ -420,7 +392,7 @@ def pool(latent: LatentSequence, kind: str) -> SentenceEmbedding:
     raise ConfigError(f"pooling must be one of {POOLING_KINDS}, got {kind!r}")
 
 
-def project(sigma: SentenceEmbedding, params: ProjectionParams) -> Tensor:
+def project(sigma: SentenceEmbedding, params: ParamGroup) -> Tensor:
     """Three linear layers; the first two are batch-normalized and rectified.
 
     The final layer is bare: the loss pipeline applies its own batch norm.

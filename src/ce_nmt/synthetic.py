@@ -26,8 +26,7 @@ def _check_sizes(vocab_size: int, min_len: int, max_len: int) -> None:
 
 
 def make_cipher_corpus(n_pairs: int, vocab_size: int = 50, min_len: int = 3,
-                       max_len: int = 10, seed: int = 0, cipher_seed: int = 12345,
-                       source_lang: str = "src", target_lang: str = "tgt") -> ParallelCorpus:
+                       max_len: int = 10, seed: int = 0, cipher_seed: int = 12345) -> ParallelCorpus:
     """Random sentences over ``vocab_size`` source words, ciphered per token.
 
     The token mapping depends only on ``cipher_seed``, so train and test
@@ -43,8 +42,7 @@ def make_cipher_corpus(n_pairs: int, vocab_size: int = 50, min_len: int = 3,
         length = int(rng.integers(min_len, max_len + 1))
         word_ids = rng.integers(0, vocab_size, size=length).tolist()
         pairs.append(SentencePair(tuple(map(source_words.__getitem__, word_ids)),
-                                  tuple(map(target_words.__getitem__, word_ids)),
-                                  source_lang, target_lang))
+                                  tuple(map(target_words.__getitem__, word_ids))))
     return ParallelCorpus(pairs)
 
 
@@ -63,6 +61,10 @@ def make_identity_corpus(n_pairs: int, vocab_size: int = 30, min_len: int = 2,
 
 
 def write_parallel_files(corpus: ParallelCorpus, source_path, target_path) -> None:
+    """Write one sentence a line to each side; ``ValueError`` on an empty
+    corpus, whose files ``data.load_parallel_corpus`` could not read back."""
+    if len(corpus) == 0:
+        raise ValueError("cannot write an empty corpus")
     Path(source_path).write_text(
         "\n".join(" ".join(p.source) for p in corpus) + "\n", encoding="utf-8")
     Path(target_path).write_text(

@@ -34,13 +34,7 @@ from . import model as M
 from .data import ParallelCorpus, Vocabulary, batch_iter
 from .errors import CollapseError, ConfigError, DivergenceError, NumericError
 from .losses import barlow_twins_loss, translation_loss
-from .model import (
-    DecoderParams,
-    EncoderParams,
-    ModelConfig,
-    ParamGroup,
-    ProjectionParams,
-)
+from .model import ModelConfig, ParamGroup
 from .numerics import Tensor
 
 CHECKPOINT_MAGIC = b"CENMT\x00"
@@ -51,6 +45,13 @@ STAGES = ("pretrain", "ce", "finetune")
 # show isolated sub-threshold effective-rank batches (anisotropic but sound
 # geometry), while a genuinely collapsed stream flags every observation.
 COLLAPSE_PATIENCE = 3
+COLLAPSE_MIN_RANK = 2.0
+COLLAPSE_REL_STD = 1e-3
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-9
+CLIP_NORM = 1.0
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -60,20 +61,16 @@ class AdamOptimizer:
     """Adaptive moments with linear warmup and inverse-sqrt decay.
 
     rate(t) = lr * min(t / warmup, sqrt(warmup / t)); the peak rate ``lr``
-    is reached exactly at ``t = warmup``. Gradients are clipped to a global
-    norm before each update.
+    is reached exactly at ``t = warmup``. Gradients are clipped to the global
+    norm ``CLIP_NORM`` before each update.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, warmup: int = 4000,
-                 beta1: float = 0.9, beta2: float = 0.98, eps: float = 1e-9,
-                 clip_norm: float = 1.0):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, warmup: int = 4000):
         if warmup < 1:
             raise ConfigError(f"warmup must be >= 1, got {warmup}")
         self.params = dict(params)
         self.lr = lr
         self.warmup = warmup
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.clip_norm = clip_norm
         self.step_count = 0
         self.m = {k: np.zeros_like(t.values) for k, t in self.params.items()}
         self.v = {k: np.zeros_like(t.values) for k, t in self.params.items()}
@@ -94,10 +91,10 @@ class AdamOptimizer:
             grads[k] = g
             sq_sum += float((g.astype(np.float64, copy=False) ** 2).sum())
         norm = math.sqrt(sq_sum)
-        scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
+        scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
         rate = self.rate(self.step_count)
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - ADAM_BETA1 ** self.step_count
+        bc2 = 1.0 - ADAM_BETA2 ** self.step_count
         for k, t in self.params.items():
             # The moments are the optimizer's own and are updated in place;
             # ``t.grad`` may be another parameter's gradient too, and is only read.
@@ -107,16 +104,16 @@ class AdamOptimizer:
             #   values -= rate * (m / bc1) / (sqrt(v / bc2) + eps)
             g = grads[k] if scale == 1.0 else grads[k] * scale
             m, v = self.m[k], self.v[k]
-            scratch = np.multiply(g, 1.0 - self.beta1)
-            m *= self.beta1
+            scratch = np.multiply(g, 1.0 - ADAM_BETA1)
+            m *= ADAM_BETA1
             m += scratch
-            np.multiply(g, 1.0 - self.beta2, out=scratch)
+            np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
             scratch *= g
-            v *= self.beta2
+            v *= ADAM_BETA2
             v += scratch
             np.divide(v, bc2, out=scratch)
             np.sqrt(scratch, out=scratch)
-            scratch += self.eps
+            scratch += ADAM_EPS
             update = np.divide(m, bc1)
             update *= rate
             update /= scratch
@@ -197,13 +194,11 @@ class CollapseMonitor:
     """Tracks sentence-embedding spread across batches and flags collapse.
 
     Collapse is flagged (from the second observation onward) when the mean
-    per-dimension standard deviation falls below ``rel_std_threshold`` times
-    its initial value, or the effective rank falls below ``min_rank``.
+    per-dimension standard deviation falls below ``COLLAPSE_REL_STD`` times
+    its initial value, or the effective rank falls below ``COLLAPSE_MIN_RANK``.
     """
 
-    def __init__(self, rel_std_threshold: float = 1e-3, min_rank: float = 2.0):
-        self.rel_std_threshold = rel_std_threshold
-        self.min_rank = min_rank
+    def __init__(self):
         self.observations = 0
         self.initial_std: float | None = None
         self.latest_std: float | None = None
@@ -228,13 +223,13 @@ class CollapseMonitor:
         )
         if self.observations < 2:
             return base
-        if self.latest_rank < self.min_rank:
+        if self.latest_rank < COLLAPSE_MIN_RANK:
             base.status = "collapsed"
-            base.reason = f"effective rank {self.latest_rank:.3f} < {self.min_rank}"
-        elif self.latest_std < self.rel_std_threshold * self.initial_std:
+            base.reason = f"effective rank {self.latest_rank:.3f} < {COLLAPSE_MIN_RANK}"
+        elif self.latest_std < COLLAPSE_REL_STD * self.initial_std:
             base.status = "collapsed"
             base.reason = (f"mean per-dim std {self.latest_std:.3e} below "
-                           f"{self.rel_std_threshold} x initial {self.initial_std:.3e}")
+                           f"{COLLAPSE_REL_STD} x initial {self.initial_std:.3e}")
         else:
             base.status = "ok"
         return base
@@ -249,9 +244,9 @@ class Checkpoint:
     stage: str
     seed: int
     step: int
-    encoder: EncoderParams
-    decoder: DecoderParams | None = None
-    projection: ProjectionParams | None = None
+    encoder: ParamGroup
+    decoder: ParamGroup | None = None
+    projection: ParamGroup | None = None
 
     def __post_init__(self):
         if self.stage not in STAGES:
@@ -394,9 +389,9 @@ def parse_checkpoint(raw: bytes, dtype=np.float64, source="checkpoint") -> Check
         raise ConfigError(f"{source}: unexpected bytes after the last tensor")
     return Checkpoint(
         config=cfg, stage=stage, seed=seed, step=step,
-        encoder=EncoderParams(groups["encoder"]),
-        decoder=DecoderParams(groups["decoder"]) if "decoder" in groups else None,
-        projection=ProjectionParams(groups["projection"]) if "projection" in groups else None,
+        encoder=ParamGroup(groups["encoder"]),
+        decoder=ParamGroup(groups["decoder"]) if "decoder" in groups else None,
+        projection=ParamGroup(groups["projection"]) if "projection" in groups else None,
     )
 
 
@@ -447,7 +442,7 @@ def _diverged(message: str, diag: Checkpoint, out_dir: Path | None,
 
 
 def _translation_steps(cfg: ModelConfig, corpus: ParallelCorpus, vocab_src: Vocabulary,
-                       vocab_tgt: Vocabulary, enc: EncoderParams, dec: DecoderParams,
+                       vocab_tgt: Vocabulary, enc: ParamGroup, dec: ParamGroup,
                        seed: int, steps: int, batch_size: int, lr: float, warmup: int,
                        stage: str, metrics: MetricsLog | None,
                        out_dir: Path | None) -> int:
@@ -515,7 +510,6 @@ def fresh_ce_start(cfg: ModelConfig, seed: int, dtype=np.float64,
 def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabulary,
                     ce_cfg: CEConfig, seed: int, *, lr: float = 1e-3, warmup: int = 100,
                     metrics: MetricsLog | None = None, out_dir=None,
-                    history: list | None = None,
                     monitor: CollapseMonitor | None = None) -> Checkpoint:
     """Stage 2: align pooled parallel-sentence embeddings with Barlow Twins.
 
@@ -523,9 +517,8 @@ def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabu
     the encoder vocabulary), then pooling, projection, batch norm, and the
     loss. Only encoder and projection parameters are updated; any decoder in
     ``start`` is carried through untouched. Batches smaller than 2 rows are
-    skipped (batch norm needs statistics). ``history``, when supplied, gets
-    one dict per epoch with the mean loss terms and the last correlation
-    snapshot.
+    skipped (batch norm needs statistics). ``metrics`` gets one record per
+    epoch with the mean loss terms.
 
     The stage aborts with ``CollapseError`` once the monitor reports collapse
     for ``COLLAPSE_PATIENCE`` consecutive batches, and with ``DivergenceError``
@@ -548,7 +541,6 @@ def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabu
     for epoch in range(ce_cfg.epochs):
         totals = np.zeros(3)
         batches = 0
-        last_corr = None
         for batch in batch_iter(corpus, vocab_enc, vocab_enc, ce_cfg.batch_size,
                                 max_len=cfg.max_len, shuffle=True, seed=seed + 1000 + epoch):
             if batch.size < 2:
@@ -571,7 +563,6 @@ def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabu
                                 out_dir, f"diverged-{epoch}.ckpt") from exc
             totals += (breakdown.total, breakdown.invariance_term, breakdown.redundancy_term)
             batches += 1
-            last_corr = breakdown.correlation.values
             report = monitor.observe(np.vstack([sig_s.values.values, sig_t.values.values]))
             collapsed_streak = collapsed_streak + 1 if report.status == "collapsed" else 0
             if collapsed_streak >= COLLAPSE_PATIENCE:
@@ -584,11 +575,6 @@ def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabu
         mean_total, mean_inv, mean_red = (totals / batches).tolist()
         if metrics is not None:
             metrics.write("ce", epoch, mean_total, mean_inv, mean_red, ce_cfg.lam)
-        if history is not None:
-            history.append({
-                "epoch": epoch, "total": mean_total, "invariance": mean_inv,
-                "redundancy": mean_red, "correlation": last_corr,
-            })
     return Checkpoint(cfg, "ce", seed, ce_cfg.epochs, enc, decoder=dec, projection=proj)
 
 
@@ -631,7 +617,6 @@ class PipelineResult:
     checkpoints: dict[str, Checkpoint]
     paths: dict[str, Path]
     metrics_path: Path
-    ce_history: list
 
 
 def run_pipeline(cfg: ModelConfig, ce_cfg: CEConfig, corpus: ParallelCorpus,
@@ -667,10 +652,8 @@ def run_pipeline(cfg: ModelConfig, ce_cfg: CEConfig, corpus: ParallelCorpus,
         checkpoints["pretrain"] = start
         paths["pretrain"] = save_checkpoint(start, out_dir / f"pretrain-{start.step}.ckpt")
 
-    ce_history: list = []
     ce_ckpt = context_enhance(start, corpus, vocab_src, ce_cfg, seed + 1, lr=lr,
-                              warmup=max(1, warmup // 4), metrics=metrics, out_dir=out_dir,
-                              history=ce_history)
+                              warmup=max(1, warmup // 4), metrics=metrics, out_dir=out_dir)
     checkpoints["ce"] = ce_ckpt
     paths["ce"] = save_checkpoint(ce_ckpt, out_dir / f"ce-{ce_ckpt.step}.ckpt")
 
@@ -679,4 +662,4 @@ def run_pipeline(cfg: ModelConfig, ce_cfg: CEConfig, corpus: ParallelCorpus,
                                    reuse_decoder=reuse_decoder, metrics=metrics, out_dir=out_dir)
     checkpoints["finetune"] = ft_ckpt
     paths["finetune"] = save_checkpoint(ft_ckpt, out_dir / f"finetune-{ft_ckpt.step}.ckpt")
-    return PipelineResult(checkpoints, paths, metrics.path, ce_history)
+    return PipelineResult(checkpoints, paths, metrics.path)

@@ -39,12 +39,9 @@ def bn_oracle(z: np.ndarray, eps: float = BN_EPS) -> np.ndarray:
     return out
 
 
-def cross_correlation_oracle(zs: np.ndarray, zt: np.ndarray,
-                             apply_bn: bool = True, eps: float = CORR_EPS) -> np.ndarray:
-    zs = np.asarray(zs, dtype=np.float64)
-    zt = np.asarray(zt, dtype=np.float64)
-    if apply_bn:
-        zs, zt = bn_oracle(zs), bn_oracle(zt)
+def cross_correlation_oracle(zs: np.ndarray, zt: np.ndarray, eps: float = CORR_EPS) -> np.ndarray:
+    """Correlation of the batch-normalized projections, per explicit loops."""
+    zs, zt = bn_oracle(zs), bn_oracle(zt)
     B, d = zs.shape
     C = np.zeros((d, d))
     for i in range(d):
@@ -56,10 +53,9 @@ def cross_correlation_oracle(zs: np.ndarray, zt: np.ndarray,
     return C
 
 
-def barlow_oracle(zs: np.ndarray, zt: np.ndarray, lam: float,
-                  apply_bn: bool = True, eps: float = CORR_EPS):
+def barlow_oracle(zs: np.ndarray, zt: np.ndarray, lam: float, eps: float = CORR_EPS):
     """Returns (total, invariance, redundancy) per explicit double loops."""
-    C = cross_correlation_oracle(zs, zt, apply_bn=apply_bn, eps=eps)
+    C = cross_correlation_oracle(zs, zt, eps=eps)
     d = C.shape[0]
     invariance = sum((1.0 - C[i, i]) ** 2 for i in range(d))
     redundancy = sum(C[i, j] ** 2 for i in range(d) for j in range(d) if i != j)

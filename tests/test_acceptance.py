@@ -8,6 +8,7 @@ side, lengths 3-10, 2000 train / 200 test pairs) and a small transformer
 ``slow``: ``pytest -m "not slow"`` skips them and the toy run.
 """
 
+import json
 import time
 import zlib
 
@@ -35,7 +36,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def toy():
+def toy(tmp_path_factory):
     """One full pretrain -> ce -> finetune run on the toy cipher pair."""
     train = make_cipher_corpus(2000, vocab_size=50, min_len=3, max_len=10, seed=100)
     test = make_cipher_corpus(200, vocab_size=50, min_len=3, max_len=10, seed=101)
@@ -54,13 +55,14 @@ def toy():
     bleu_pre = E.bleu(E.translate_corpus(pretrain, test, vocab_joint, vocab_tgt,
                                          batch_size=64), refs)
 
-    history: list = []
+    metrics = TR.MetricsLog(tmp_path_factory.mktemp("toy") / "ce_metrics.jsonl")
     t0 = time.monotonic()
     ce = TR.context_enhance(pretrain, train, vocab_joint,
                             TR.CEConfig(lam=5e-3, epochs=40, batch_size=64,
                                         pooling="mean", proj_dim=32),
-                            seed=101, lr=1e-3, warmup=50, history=history)
+                            seed=101, lr=1e-3, warmup=50, metrics=metrics)
     t_ce = time.monotonic() - t0
+    ce_epochs = [json.loads(line) for line in metrics.path.read_text().splitlines()]
 
     t0 = time.monotonic()
     finetune = TR.finetune_translation(ce, train, vocab_joint, vocab_tgt, steps=800,
@@ -77,7 +79,7 @@ def toy():
         "train": train, "test": test, "cfg": cfg,
         "vocab_joint": vocab_joint, "vocab_tgt": vocab_tgt,
         "pretrain": pretrain, "ce": ce, "finetune": finetune,
-        "history": history, "t_stage1": t_stage1, "t_ce": t_ce,
+        "ce_epochs": ce_epochs, "t_stage1": t_stage1, "t_ce": t_ce,
         "t_finetune": t_finetune, "bleu_pre": bleu_pre, "bleu_ft": bleu_ft,
         "base_emb": base_emb, "enh_emb": enh_emb, "labels": labels,
         "protocol": protocol,
@@ -217,14 +219,14 @@ def test_criterion_05_toy_translation(toy):
 
 @pytest.mark.slow
 def test_criterion_06_ce_behavior(toy):
-    first, last = toy["history"][0], toy["history"][-1]
-    inv_ratio = last["invariance"] / first["invariance"]
-    red_ratio = last["redundancy"] / first["redundancy"]
+    first, last = toy["ce_epochs"][0], toy["ce_epochs"][-1]
+    inv_ratio = last["invariance_term"] / first["invariance_term"]
+    red_ratio = last["redundancy_term"] / first["redundancy_term"]
     ok = inv_ratio <= 0.1 and red_ratio <= 0.5 and toy["t_ce"] < CE_BUDGET_S
     _report(6, "context enhancement behavior", ok,
-            f"invariance {first['invariance']:.3f} -> {last['invariance']:.5f} "
+            f"invariance {first['invariance_term']:.3f} -> {last['invariance_term']:.5f} "
             f"(x{inv_ratio:.4f}, need <= 0.1), off-diagonal energy "
-            f"{first['redundancy']:.1f} -> {last['redundancy']:.1f} "
+            f"{first['redundancy_term']:.1f} -> {last['redundancy_term']:.1f} "
             f"(x{red_ratio:.3f}, need <= 0.5), {toy['t_ce']:.0f}s of {CE_BUDGET_S}s")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from ce_nmt import cli
+from ce_nmt import model as M
 from ce_nmt import training as TR
 from ce_nmt.data import build_vocab, load_parallel_corpus
 from ce_nmt.errors import ConfigError
@@ -287,6 +289,43 @@ def test_eval_diagnostics_creates_files(pipeline_out):
     assert "sentence_embeddings.csv" in names
     assert any(n.startswith("attention_decoder_cross") for n in names)
     assert any(n.startswith("correlation_batch") for n in names)
+
+
+@pytest.mark.parametrize("side, extra", [("src", 5), ("tgt", -1)])
+def test_eval_vocab_size_must_match_checkpoint(pipeline_out, capsys, side, extra):
+    # A longer vocabulary gives ids past the embedding rows, a shorter one
+    # silently maps ids onto other rows: both are input errors.
+    tmp, src, tgt, out = pipeline_out
+    ckpt = next(out.glob("finetune-*.ckpt"))
+    path = out / f"vocab.{side}.txt"
+    tokens = path.read_text(encoding="utf-8").splitlines()
+    size = len(tokens)
+    tokens = tokens + [f"extra{i}" for i in range(extra)] if extra > 0 else tokens[:extra]
+    path.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = cli.main(["eval", "--mode", "bleu", "--checkpoint", str(ckpt),
+                     "--source", src, "--target", tgt, "--out", str(out / "eval")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{path} holds {size + extra} tokens" in err and f"built for {size}" in err
+
+
+def test_eval_classify_baseline_vocab_size_must_match(pipeline_out, capsys):
+    tmp, src, tgt, out = pipeline_out
+    ce = next(out.glob("ce-*.ckpt"))
+    cfg = TR.load_checkpoint(ce).config
+    wider = dataclasses.replace(cfg, src_vocab=cfg.src_vocab + 2)
+    rng = np.random.default_rng(0)
+    base = TR.save_checkpoint(TR.Checkpoint(wider, "pretrain", 0, 0,
+                                            M.init_encoder_params(wider, rng),
+                                            decoder=M.init_decoder_params(wider, rng)),
+                              tmp / "other" / "pretrain-0.ckpt")
+    capsys.readouterr()
+    code = cli.main(["eval", "--mode", "classify", "--checkpoint", str(ce),
+                     "--baseline-checkpoint", str(base), "--source", src, "--target", tgt,
+                     "--out", str(out / "eval")])
+    assert code == 2
+    assert f"holds {cfg.src_vocab} tokens" in capsys.readouterr().err
 
 
 def test_eval_stage_mismatch_exits_2(toy_files, capsys):

@@ -22,7 +22,7 @@ from ce_nmt.data import (
     tokenize,
 )
 from ce_nmt.errors import CorpusFormatError, EmbeddingFormatError
-from ce_nmt.synthetic import make_cipher_corpus, make_identity_corpus
+from ce_nmt.synthetic import make_cipher_corpus, make_identity_corpus, write_parallel_files
 
 
 def make_corpus(pairs):
@@ -41,10 +41,6 @@ def test_tokenize_collapses_whitespace():
 
 def test_tokenize_tabs_and_spaces():
     assert tokenize("a\tb c") == ["a", "b", "c"]
-
-
-def test_tokenize_no_lowercase_flag():
-    assert tokenize("Hello World", lowercase=False) == ["Hello", "World"]
 
 
 # -- vocabulary -------------------------------------------------------------
@@ -115,6 +111,21 @@ def test_vocab_save_load_round_trip(tmp_path):
     v.save(path)
     loaded = Vocabulary.load(path)
     assert loaded.tokens() == v.tokens()
+
+
+@pytest.mark.parametrize("body, line, what", [
+    (["alpha", "beta", "alpha", "gamma"], 7, "repeats token 'alpha' of line 5"),
+    (["alpha", "<unk>"], 6, "repeats token '<unk>' of line 4"),
+    (["alpha", "", "beta"], 6, "empty token"),
+    (["alpha", "   "], 6, "empty token"),
+])
+def test_vocab_load_rejects_repeated_or_empty_token(tmp_path, body, line, what):
+    # Line number = id: a dropped line would shift every later id.
+    path = tmp_path / "vocab.txt"
+    path.write_text("\n".join(list(data.RESERVED_TOKENS) + body) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=what) as exc_info:
+        Vocabulary.load(path)
+    assert exc_info.value.line == line
 
 
 # -- encode_sentence ----------------------------------------------------------
@@ -317,6 +328,13 @@ def test_synthetic_rejects_bad_sizes(make, kwargs):
     # Zero pairs: the sizes are checked up front, not left to the first draw.
     with pytest.raises(ValueError):
         make(0, **kwargs)
+
+
+def test_write_parallel_files_rejects_empty_corpus(tmp_path):
+    src, tgt = tmp_path / "e.src", tmp_path / "e.tgt"
+    with pytest.raises(ValueError, match="empty corpus"):
+        write_parallel_files(make_cipher_corpus(0), src, tgt)
+    assert not src.exists() and not tgt.exists()
 
 
 def test_synthetic_single_word_and_fixed_length():

@@ -23,26 +23,29 @@ def blobs(n_per_class=100, sep=8.0, h=6, seed=0):
     return emb, labels
 
 
+def holdout_accuracy(emb, labels, seed=0) -> float:
+    """Holdout accuracy of a probe fit on a stratified split: ``a1`` of the protocol."""
+    return E.run_protocol(emb, emb, labels, seed).a1
+
+
 # -- probe ---------------------------------------------------------------------
 
 def test_probe_separable_blobs():
     emb, labels = blobs()
-    _, acc = E.train_probe(emb, labels, split_seed=0)
-    assert acc >= 0.99
+    assert holdout_accuracy(emb, labels) >= 0.99
 
 
 def test_probe_shuffled_labels_near_chance():
     emb, _ = blobs(n_per_class=500)
     rng = np.random.default_rng(1)
     labels = list(rng.permutation(["en"] * 500 + ["de"] * 500))
-    _, acc = E.train_probe(emb, labels, split_seed=0)
-    assert 0.4 <= acc <= 0.6
+    assert 0.4 <= holdout_accuracy(emb, labels) <= 0.6
 
 
 def test_probe_identical_embeddings_majority_rate():
     emb = np.ones((100, 4))
     labels = ["en"] * 60 + ["de"] * 40
-    _, acc = E.train_probe(emb, labels, split_seed=0)
+    acc = holdout_accuracy(emb, labels)
     # Constant features force a constant prediction: the majority class.
     train_idx, test_idx = E.stratified_split(labels, 0)
     majority_rate = sum(1 for i in test_idx if labels[i] == "en") / len(test_idx)
@@ -51,20 +54,20 @@ def test_probe_identical_embeddings_majority_rate():
 
 def test_probe_single_language_rejected():
     with pytest.raises(ProtocolError):
-        E.train_probe(np.ones((20, 3)), ["en"] * 20, split_seed=0)
+        holdout_accuracy(np.ones((20, 3)), ["en"] * 20)
 
 
 def test_probe_too_few_samples_rejected():
     with pytest.raises(ProtocolError):
-        E.train_probe(np.ones((12, 3)), ["en"] * 9 + ["de"] * 3, split_seed=0)
+        holdout_accuracy(np.ones((12, 3)), ["en"] * 9 + ["de"] * 3)
 
 
 def test_probe_deterministic():
     emb, labels = blobs(seed=3)
-    p1, a1 = E.train_probe(emb, labels, split_seed=5)
-    p2, a2 = E.train_probe(emb, labels, split_seed=5)
-    assert a1 == a2
-    assert np.array_equal(p1.weights, p2.weights)
+    p1 = E.fit_probe(emb, labels, ["de", "en"])
+    p2 = E.fit_probe(emb, labels, ["de", "en"])
+    assert np.array_equal(p1.weights, p2.weights) and np.array_equal(p1.bias, p2.bias)
+    assert holdout_accuracy(emb, labels, seed=5) == holdout_accuracy(emb, labels, seed=5)
 
 
 def test_stratified_split_is_stratified():
@@ -281,7 +284,7 @@ def test_word_probe_embeddings_exclusive_tokens(trained_toy):
 def test_export_diagnostics_files(trained_toy, tmp_path):
     corpus, vocab_joint, vocab_tgt, cfg, ckpt = trained_toy
     files = E.export_diagnostics(ckpt, corpus, vocab_joint, tmp_path, vocab_tgt=vocab_tgt,
-                                 batch_size=6, n_probe_batches=2)
+                                 batch_size=6)
     names = {f.name for f in files}
     attention = [n for n in names if n.startswith("attention_")]
     # encoder self + decoder self + decoder cross, per layer per head

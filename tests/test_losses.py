@@ -108,7 +108,7 @@ def test_cross_correlation_matches_double_loop():
 def test_cross_correlation_zero_column_guard():
     zs = T(np.zeros((3, 2)))
     with pytest.raises(NumericError, match="zero-norm"):
-        L.cross_correlation(zs, zs, apply_bn=False, eps=0.0)
+        L.cross_correlation(zs, zs, eps=0.0)
 
 
 def test_cross_correlation_entry_range_validated():

@@ -275,7 +275,7 @@ def test_attention_single_key_returns_value():
     q = N.Tensor(rng.normal(size=(1, 3, 4)))
     k = N.Tensor(rng.normal(size=(1, 1, 4)))
     v = N.Tensor(rng.normal(size=(1, 1, 4)))
-    out = M.attention(q, k, v, np.ones((1, 1), dtype=bool), num_heads=2)
+    out = N.multi_head_attention(q, k, v, np.ones((1, 1), dtype=bool), num_heads=2)
     expected = np.repeat(v.values, 3, axis=1)
     assert np.max(np.abs(out.values - expected)) < 1e-12
 
@@ -286,7 +286,7 @@ def test_attention_all_but_one_masked():
     k = N.Tensor(rng.normal(size=(1, 3, 4)))
     v = N.Tensor(rng.normal(size=(1, 3, 4)))
     mask = np.array([[False, True, False]])
-    out = M.attention(q, k, v, mask, num_heads=1)
+    out = N.multi_head_attention(q, k, v, mask, num_heads=1)
     assert np.max(np.abs(out.values - v.values[:, 1:2, :])) < 1e-12
 
 
@@ -294,7 +294,7 @@ def test_attention_hand_case_matches_formula():
     q = N.Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
     k = N.Tensor(np.array([[[1.0, 1.0], [0.0, 2.0]]]))
     v = N.Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-    out = M.attention(q, k, v, np.ones((1, 2), dtype=bool), num_heads=1)
+    out = N.multi_head_attention(q, k, v, np.ones((1, 2), dtype=bool), num_heads=1)
     scores = q.values[0] @ k.values[0].T / np.sqrt(2.0)
     w = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
@@ -355,8 +355,8 @@ def test_project_output_shape(setup):
 
 def test_project_zero_params_zero_output(setup):
     cfg, rng, _, _, _ = setup
-    zero = M.ProjectionParams({k: N.Tensor(np.zeros_like(v.values), requires_grad=True)
-                               for k, v in M.init_projection_params(cfg, rng).items()})
+    zero = M.ParamGroup({k: N.Tensor(np.zeros_like(v.values), requires_grad=True)
+                         for k, v in M.init_projection_params(cfg, rng).items()})
     sigma = M.SentenceEmbedding(N.Tensor(rng.normal(size=(4, cfg.dim))))
     assert np.array_equal(M.project(sigma, zero).values, np.zeros((4, cfg.proj_dim)))
 

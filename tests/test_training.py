@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -22,6 +23,13 @@ def tiny_setup(n_pairs=24, depth=1, dim=8, heads=2):
                         depth=depth, dim=dim, heads=heads, ff_dim=2 * dim,
                         proj_dim=4, emb_dim=dim, max_len=8)
     return cfg, corpus, vocab_joint, vocab_tgt
+
+
+def ce_epoch_records(tmp_path, *args, **kwargs) -> list[dict]:
+    """Run ``context_enhance(*args, **kwargs)`` and return its per-epoch metrics records."""
+    metrics = TR.MetricsLog(tmp_path / "ce_metrics.jsonl")
+    TR.context_enhance(*args, metrics=metrics, **kwargs)
+    return [json.loads(line) for line in metrics.path.read_text().splitlines()]
 
 
 def forward_probe(ckpt, corpus, vocab_src, vocab_tgt):
@@ -70,7 +78,7 @@ def test_adam_matches_reference_bitwise(dtype, grad_scale):
     for step in range(1, 7):
         grads = {k: (grad_scale * rng.normal(size=s)).astype(dtype) for k, s in shapes.items()}
         norm = np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
-        assert (norm > opt.clip_norm) == (grad_scale > 1.0)
+        assert (norm > TR.CLIP_NORM) == (grad_scale > 1.0)
         for k, t in params.items():
             t.grad = grads[k]
         given = {k: g.copy() for k, g in grads.items()}
@@ -199,14 +207,12 @@ def test_context_enhance_never_touches_decoder():
         assert v.values.tobytes() == before[k].tobytes(), f"decoder param {k} changed"
 
 
-def test_context_enhance_lambda_zero_reduces_to_invariance():
+def test_context_enhance_lambda_zero_reduces_to_invariance(tmp_path):
     cfg, corpus, vs, vt = tiny_setup()
     start = TR.train_translation(cfg, corpus, vs, vt, seed=5, steps=0)
-    history: list = []
     ce_cfg = TR.CEConfig(lam=0.0, epochs=1, batch_size=8, proj_dim=4)
-    TR.context_enhance(start, corpus, vs, ce_cfg, seed=6, history=history)
-    rec = history[0]
-    assert rec["total"] == pytest.approx(rec["invariance"], abs=1e-12)
+    rec = ce_epoch_records(tmp_path, start, corpus, vs, ce_cfg, seed=6)[0]
+    assert rec["loss"] == pytest.approx(rec["invariance_term"], abs=1e-12)
 
 
 def test_context_enhance_lambda_zero_redundancy_has_no_gradient():
@@ -246,13 +252,12 @@ def test_context_enhance_divergence_detected(tmp_path):
     assert diag.decoder is not None and diag.projection is not None
 
 
-def test_context_enhance_improves_alignment():
+def test_context_enhance_improves_alignment(tmp_path):
     cfg, corpus, vs, vt = tiny_setup(n_pairs=48, dim=16)
     start = TR.train_translation(cfg, corpus, vs, vt, seed=5, steps=0)
-    history: list = []
     ce_cfg = TR.CEConfig(lam=5e-3, epochs=8, batch_size=16, proj_dim=4)
-    TR.context_enhance(start, corpus, vs, ce_cfg, seed=6, lr=2e-3, warmup=5, history=history)
-    assert history[-1]["invariance"] < history[0]["invariance"]
+    records = ce_epoch_records(tmp_path, start, corpus, vs, ce_cfg, seed=6, lr=2e-3, warmup=5)
+    assert records[-1]["invariance_term"] < records[0]["invariance_term"]
 
 
 # -- stage 3 -----------------------------------------------------------------------
