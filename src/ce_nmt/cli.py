@@ -24,8 +24,8 @@ import numpy as np
 from . import evaluation as E
 from . import training as TR
 from .data import ParallelCorpus, Vocabulary, build_vocab, load_parallel_corpus, \
-    load_pretrained_embeddings
-from .errors import CENMTError, CollapseError, ConfigError, DivergenceError
+    load_pretrained_embeddings, read_utf8_lines
+from .errors import CENMTError, CollapseError, ConfigError, CorpusFormatError, DivergenceError
 from .model import ModelConfig
 
 log = logging.getLogger("ce_nmt")
@@ -113,8 +113,12 @@ def _convert(f: dataclasses.Field, text: str):
 
 def parse_config_file(path) -> dict[str, object]:
     """Flat ``key = value`` lines with # comments; unknown keys rejected."""
+    try:
+        lines = read_utf8_lines(path)
+    except CorpusFormatError as exc:
+        raise ConfigError(f"{path}:{exc.line}: not valid UTF-8") from exc
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -73,7 +73,7 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         """Read a vocabulary file; an empty or repeated token line is an error,
         since it would shift every later id off its line number."""
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_utf8_lines(path)
         if tuple(lines[:4]) != RESERVED_TOKENS:
             raise CorpusFormatError(f"vocabulary file {path} does not start with reserved tokens", line=1)
         vocab = cls()
@@ -104,14 +104,16 @@ class ParallelCorpus:
         return iter(self.pairs)
 
 
-def _read_utf8_lines(path) -> list[str]:
+def read_utf8_lines(path, error=CorpusFormatError) -> list[str]:
+    """The lines of a UTF-8 text file, decoded one at a time so that a bad
+    byte raises ``error`` naming the file and its 1-based line."""
     lines = Path(path).read_bytes().splitlines()
     decoded = []
     for i, raw in enumerate(lines, start=1):
         try:
             decoded.append(raw.decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise CorpusFormatError(f"{path} is not valid UTF-8: {exc}", line=i) from exc
+            raise error(f"{path} is not valid UTF-8: {exc}", line=i) from exc
     return decoded
 
 
@@ -120,8 +122,8 @@ def load_parallel_corpus(source_path, target_path) -> ParallelCorpus:
 
     Empty sides (after tokenization) and line-count mismatches are errors.
     """
-    src_lines = _read_utf8_lines(source_path)
-    tgt_lines = _read_utf8_lines(target_path)
+    src_lines = read_utf8_lines(source_path)
+    tgt_lines = read_utf8_lines(target_path)
     if len(src_lines) != len(tgt_lines):
         raise CorpusFormatError(
             f"line counts differ: {source_path} has {len(src_lines)}, {target_path} has {len(tgt_lines)}"
@@ -242,7 +244,7 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, dim: int,
     file's per-dimension standard deviation, so loaded and initialized rows
     are statistically comparable. Coverage counts non-reserved entries only.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_utf8_lines(path, EmbeddingFormatError)
     if not lines:
         raise EmbeddingFormatError("empty embedding file", line=1)
     header = lines[0].split()

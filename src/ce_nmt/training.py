@@ -8,6 +8,11 @@ Stages:
   3. translation fine-tuning from the enhanced encoder, with the pooling /
      projection / batch-norm stack bypassed entirely.
 
+Each stage returns a ``Checkpoint`` of fresh parameters without gradients:
+it never writes into the checkpoint it starts from, and a training loop
+holds at most the last step's graph, which it drops once the next step's
+first encode has run.
+
 Determinism contract: for a fixed seed and config, every stage produces a
 bit-identical metrics log at 64-bit precision. Timing is therefore only
 recorded (``wall_ms``) in float32 runs; 64-bit runs log ``wall_ms: null``.
@@ -459,6 +464,11 @@ def _translation_steps(cfg: ModelConfig, corpus: ParallelCorpus, vocab_src: Voca
                 break
             try:
                 latent = M.encode(batch.source_ids, batch.source_mask, enc, cfg, rng=dropout_rng)
+                # The previous step's graph goes only now, so its arrays lie
+                # below live ones and the decoder and backward reuse them.
+                # Dropped at the end of a step instead, they would go back to
+                # the system and be faulted in again at the next step.
+                logits = loss = None
                 logits = M.decode(latent, batch.target_ids[:, :-1], batch.target_mask[:, :-1],
                                   dec, cfg, rng=dropout_rng)
                 loss = translation_loss(logits, batch.target_ids[:, 1:], batch.target_mask[:, 1:])
@@ -473,6 +483,7 @@ def _translation_steps(cfg: ModelConfig, corpus: ParallelCorpus, vocab_src: Voca
             if metrics is not None:
                 metrics.write(stage, step, loss.item())
         epoch += 1
+    optimizer.zero_grad()
     return step
 
 
@@ -485,6 +496,7 @@ def train_translation(cfg: ModelConfig, corpus: ParallelCorpus, vocab_src: Vocab
 
     With ``steps=0`` the returned parameters equal the seeded initialization.
     ``embed_table`` (src_vocab x emb_dim) overrides the encoder embedding init.
+    The returned parameters hold no gradients.
     """
     rng = np.random.default_rng(seed)
     enc = M.init_encoder_params(cfg, rng, dtype=dtype, embed_table=embed_table)
@@ -523,7 +535,8 @@ def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabu
     The stage aborts with ``CollapseError`` once the monitor reports collapse
     for ``COLLAPSE_PATIENCE`` consecutive batches, and with ``DivergenceError``
     on non-finite values (after saving ``diverged-<epoch>.ckpt`` to
-    ``out_dir``).
+    ``out_dir``). The returned parameters hold no gradients, and ``start``
+    is left as it was.
     """
     if start.encoder is None:
         raise ConfigError("context enhancement requires encoder parameters")
@@ -547,6 +560,9 @@ def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabu
                 continue
             try:
                 lat_s = M.encode(batch.source_ids, batch.source_mask, enc, cfg)
+                # As in ``_translation_steps``: release the previous batch's
+                # graph once the new one's first encode holds its memory.
+                lat_t = sig_s = sig_t = z_s = z_t = breakdown = None
                 lat_t = M.encode(batch.target_ids, batch.target_mask, enc, cfg)
                 sig_s = M.pool(lat_s, ce_cfg.pooling)
                 sig_t = M.pool(lat_t, ce_cfg.pooling)
@@ -575,6 +591,7 @@ def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabu
         mean_total, mean_inv, mean_red = (totals / batches).tolist()
         if metrics is not None:
             metrics.write("ce", epoch, mean_total, mean_inv, mean_red, ce_cfg.lam)
+    optimizer.zero_grad()
     return Checkpoint(cfg, "ce", seed, ce_cfg.epochs, enc, decoder=dec, projection=proj)
 
 
@@ -588,7 +605,8 @@ def finetune_translation(ce_ckpt: Checkpoint, corpus: ParallelCorpus, vocab_src:
     The decoder starts fresh by default; ``reuse_decoder`` picks up the
     decoder carried inside the CE checkpoint instead. Pooling, projection and
     batch norm never execute on this path; the projection parameters are
-    retained in the result untouched.
+    retained in the result untouched. The returned parameters hold no
+    gradients, and ``ce_ckpt`` is left as it was.
     """
     if ce_ckpt.stage != "ce":
         raise ConfigError(f"fine-tuning requires a ce checkpoint, got stage {ce_ckpt.stage!r}")

@@ -398,6 +398,25 @@ def test_config_file_bad_bool_rejected(tmp_path):
         cli.parse_config_file(conf)
 
 
+def test_config_file_bad_encoding_names_file_and_line(tmp_path):
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"seed = 3\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"bad\.conf:2: not valid UTF-8"):
+        cli.parse_config_file(conf)
+
+
+def test_config_file_bad_encoding_exits_2(toy_files, capsys):
+    tmp, src, tgt = toy_files
+    conf = tmp / "bad.conf"
+    conf.write_bytes(b"\xff\n")
+    code = cli.main(["prepare", "--source", src, "--target", tgt,
+                     "--config", str(conf), "--out", str(tmp / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad.conf:1: not valid UTF-8" in err and "Traceback" not in err
+    assert not (tmp / "o").exists()
+
+
 def test_config_file_value_outside_choices_exits_2(pipeline_out, capsys):
     # a config-file value gets the same choices check as the flag
     tmp, src, tgt, out = pipeline_out

@@ -128,6 +128,13 @@ def test_vocab_load_rejects_repeated_or_empty_token(tmp_path, body, line, what):
     assert exc_info.value.line == line
 
 
+def test_vocab_load_bad_encoding_reports_file_and_lineno(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes("\n".join(data.RESERVED_TOKENS).encode() + b"\nalpha\nbe\xfftta\n")
+    with pytest.raises(CorpusFormatError, match=r"line 6: .*vocab\.txt is not valid UTF-8"):
+        Vocabulary.load(path)
+
+
 # -- encode_sentence ----------------------------------------------------------
 
 def test_encode_empty():
@@ -277,6 +284,13 @@ def test_embeddings_malformed_row_reports_lineno(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("2 2\na 1 2\nb 1 oops\n")
     with pytest.raises(EmbeddingFormatError, match="line 3"):
+        load_pretrained_embeddings(path, build_vocab([["a", "b"]]), 2)
+
+
+def test_embeddings_bad_encoding_reports_file_and_lineno(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_bytes(b"2 2\na 1 2\n\xffb 1 2\n")
+    with pytest.raises(EmbeddingFormatError, match=r"line 3: .*emb\.txt is not valid UTF-8"):
         load_pretrained_embeddings(path, build_vocab([["a", "b"]]), 2)
 
 

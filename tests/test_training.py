@@ -297,6 +297,37 @@ def test_finetune_reuse_decoder_flag():
     assert not fresh.decoder.allclose(start.decoder)
 
 
+def _params_with_grad(ckpt) -> list[str]:
+    params = TR._flatten({"encoder": ckpt.encoder, "decoder": ckpt.decoder,
+                          "projection": ckpt.projection})
+    return [name for name, t in params.items() if t.grad is not None]
+
+
+def test_stage_results_hold_no_gradients(tmp_path):
+    cfg, corpus, vs, vt = tiny_setup()
+    ce_cfg = TR.CEConfig(lam=5e-3, epochs=1, batch_size=8, proj_dim=4)
+    pre = TR.train_translation(cfg, corpus, vs, vt, seed=5, steps=2, batch_size=8, warmup=2)
+    ce = TR.context_enhance(pre, corpus, vs, ce_cfg, seed=6)
+    ft = TR.finetune_translation(ce, corpus, vs, vt, steps=2, seed=7, batch_size=8, warmup=2)
+    result = TR.run_pipeline(cfg, ce_cfg, corpus, vs, vt, seed=3, out_dir=tmp_path,
+                             steps=2, finetune_steps=2, batch_size=8, warmup=2)
+    for ckpt in [pre, ce, ft, *result.checkpoints.values()]:
+        assert _params_with_grad(ckpt) == [], f"{ckpt.stage} result holds gradients"
+
+
+def test_stages_leave_their_start_checkpoint_unchanged():
+    cfg, corpus, vs, vt = tiny_setup()
+    pre = TR.train_translation(cfg, corpus, vs, vt, seed=5, steps=2, batch_size=8, warmup=2)
+    pre_bytes = TR.checkpoint_bytes(pre)
+    ce = TR.context_enhance(pre, corpus, vs, TR.CEConfig(lam=5e-3, epochs=1, batch_size=8,
+                                                         proj_dim=4), seed=6)
+    ce_bytes = TR.checkpoint_bytes(ce)
+    TR.finetune_translation(ce, corpus, vs, vt, steps=2, seed=7, batch_size=8, warmup=2,
+                            reuse_decoder=True)
+    assert TR.checkpoint_bytes(pre) == pre_bytes
+    assert TR.checkpoint_bytes(ce) == ce_bytes
+
+
 # -- collapse monitor -----------------------------------------------------------------
 
 def test_collapse_monitor_flags_identical_rows():
@@ -546,10 +577,12 @@ def test_metrics_log_schema(tmp_path):
 # -- memory ------------------------------------------------------------------------------
 
 # tracemalloc peaks (MB) at the benchmark's shapes, pinned about 15% above the
-# values measured once the tape held nodes instead of Tensors (63.5 and 43.1
-# MB). While each tape node was a Tensor they read 136.5 and 105.5 MB.
-PRETRAIN_PEAK_MB = 73.0
-CE_PEAK_MB = 49.5
+# values measured once a step dropped the previous step's graph after its
+# first encode (45.5 and 34.1 MB). While the previous graph lived until the
+# next loss replaced it they read 63.5 and 43.1 MB, and while each tape node
+# was a Tensor 136.5 and 105.5 MB.
+PRETRAIN_PEAK_MB = 52.5
+CE_PEAK_MB = 39.5
 
 
 def _traced_peak_mb(run) -> float:
