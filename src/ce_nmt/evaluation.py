@@ -232,8 +232,11 @@ def greedy_decode(encoder, decoder, cfg: M.ModelConfig, src_ids: np.ndarray,
     """Greedy decoding of up to ``cfg.max_len`` positions, BOS included;
     returns per-row token ids between BOS and EOS.
 
-    Each step feeds only the newest token to the decoder, which attends to
-    the keys and values it cached for the earlier ones.
+    Each step feeds only the newest token to the decoder. One
+    ``model.DecodeCache`` serves the batch: the first step splits the
+    cross-attention keys and values of the source into heads, and every
+    step writes its token's self-attention keys and values into buffers
+    sized to ``cfg.max_len``, so a step does only the newest token's work.
     """
     latent = M.encode(src_ids, src_mask, encoder, cfg)
     B = src_ids.shape[0]

@@ -218,18 +218,28 @@ class SentenceEmbedding:
 class DecodeCache:
     """What incremental ``decode`` calls on one batch carry between them.
 
-    ``length`` target positions are decoded so far, with their key mask
-    (B, length). Per layer it holds the self-attention keys and values of
-    those positions, (B, length, dim) arrays each, and the cross-attention
-    key and value Tensors of the latent, built on the first call and reused
-    as they are. Cached decoding runs under ``numerics.no_grad()``, so none
-    of these has a parent and no gradient can flow through the cache.
+    ``length`` target positions are decoded so far. The first call builds
+    the rest for its batch of B rows, in the latent's dtype (a float32 run
+    decodes in float32), and later calls write only their own positions
+    into it:
+      - ``key_mask`` (B, max_len): the target key mask, valid up to ``length``;
+      - ``positions`` (max_len, dim): the sinusoidal encodings;
+      - ``self_kv``: per layer, self-attention keys (B·heads, head_dim,
+        max_len) and values (B·heads, max_len, head_dim), filled up to
+        ``length``;
+      - ``cross_kv``: per layer, the latent's cross-attention keys (B·heads,
+        head_dim, src_len) and values (B·heads, src_len, head_dim), split
+        into heads once.
+    Keys are stored transposed, so both are in the layouts the attention
+    products read (``numerics.attend_cached``). Cached decoding runs under
+    ``numerics.no_grad()``, so no gradient can flow through the cache.
     """
 
     length: int = 0
-    mask: np.ndarray | None = None
+    key_mask: np.ndarray | None = None
+    positions: np.ndarray | None = None
     self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    cross_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
+    cross_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 # -- building blocks ---------------------------------------------------------------
@@ -261,11 +271,36 @@ def _keys_values(x: Tensor, params: ParamGroup, prefix: str) -> tuple[Tensor, Te
     return N.linear(x, params[f"{prefix}.wk"]), N.linear(x, params[f"{prefix}.wv"])
 
 
-def _mha_layer(x_q: Tensor, kv: tuple[Tensor, Tensor], params: ParamGroup, prefix: str,
-               mask: np.ndarray, cfg: ModelConfig, capture: list | None) -> Tensor:
+def _mha_layer(x_q: Tensor, kv: tuple, params: ParamGroup, prefix: str,
+               mask: np.ndarray, cfg: ModelConfig, capture: list | None,
+               attend=None) -> Tensor:
+    """Attention sublayer; ``kv`` are (B, tk, dim) Tensors for ``attend`` =
+    ``N.multi_head_attention`` (the default), or head-major arrays for
+    ``N.attend_cached``."""
+    attend = attend or N.multi_head_attention
     q = N.linear(x_q, params[f"{prefix}.wq"])
-    out = N.multi_head_attention(q, *kv, mask, cfg.heads, capture)
-    return N.linear(out, params[f"{prefix}.wo"])
+    return N.linear(attend(q, *kv, mask, cfg.heads, capture), params[f"{prefix}.wo"])
+
+
+def _heads_kv(x: Tensor, params: ParamGroup, prefix: str, heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys (B·heads, head_dim, t), transposed, and values (B·heads, t, head_dim)."""
+    k, v = _keys_values(x, params, prefix)
+    return np.transpose(N.split_heads(k.values, heads), (0, 2, 1)), N.split_heads(v.values, heads)
+
+
+def _open_cache(cache: DecodeCache, latent: LatentSequence, params: ParamGroup,
+                cfg: ModelConfig) -> None:
+    """Size ``cache`` for the latent's batch and split its cross-attention
+    keys and values into heads, once."""
+    B, hd, dtype = latent.values.shape[0], cfg.dim // cfg.heads, latent.values.dtype
+    cache.key_mask = np.zeros((B, cfg.max_len), dtype=bool)
+    cache.positions = sinusoidal_positions(cfg.max_len, cfg.dim, dtype)
+    cache.self_kv = [(np.empty((B * cfg.heads, hd, cfg.max_len), dtype),
+                      np.empty((B * cfg.heads, cfg.max_len, hd), dtype))
+                     for _ in range(cfg.depth)]
+    cache.cross_kv = [tuple(np.ascontiguousarray(a) for a in
+                            _heads_kv(latent.values, params, f"layer{i}.cross", cfg.heads))
+                      for i in range(cfg.depth)]
 
 
 def _ff(x: Tensor, params: ParamGroup, prefix: str, rows: N.RowLayout | None = None) -> Tensor:
@@ -332,53 +367,69 @@ def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
 
     With a ``cache`` (only under ``numerics.no_grad()``), ``tgt_ids`` and
     ``tgt_mask`` are the positions after the ``cache.length`` already
-    decoded ones; they attend to the cached keys and values, and the cache
-    is extended by them. Logits agree with one uncached call on the whole
+    decoded ones. The first call on a cache splits the latent's
+    cross-attention keys and values into heads; every call writes its own
+    positions' self-attention keys, values and key mask into the cache's
+    buffers and attends to the head-major arrays there through
+    ``numerics.attend_cached``, the forward of ``multi_head_attention``
+    (see ``DecodeCache``). Logits agree with one uncached call on the whole
     prefix to rounding, not bitwise.
+
+    A prefix longer than ``cfg.max_len`` in all, cached or not, raises
+    ``ConfigError``, as a longer source does in ``encode``; so does a
+    cached call whose batch size is not the cache's.
     """
     tgt_ids = np.asarray(tgt_ids)
     tgt_mask = np.asarray(tgt_mask, dtype=bool)
     if tgt_ids.shape != tgt_mask.shape or tgt_ids.ndim != 2:
         raise ConfigError(f"ids shape {tgt_ids.shape} and mask shape {tgt_mask.shape} must match (B, t)")
-    if tgt_ids.shape[0] != latent.values.shape[0]:
-        raise ConfigError(
-            f"batch mismatch: latent has {latent.values.shape[0]} rows, target has {tgt_ids.shape[0]}"
-        )
+    B, t2 = tgt_ids.shape
+    if B != latent.values.shape[0]:
+        raise ConfigError(f"batch mismatch: latent has {latent.values.shape[0]} rows, target has {B}")
     if cache is not None and N.grad_enabled():
         raise ConfigError("decode with a cache must run under numerics.no_grad(): "
                           "the cache holds plain arrays, not the tape")
     start = 0 if cache is None else cache.length
+    end = start + t2
+    if end > cfg.max_len:
+        raise ConfigError(f"target length {end} exceeds max_len {cfg.max_len}")
     if start == 0 and (tgt_ids[:, 0] != BOS).any():
         raise ConfigError("target prefix must begin with BOS")
-    B, t2 = tgt_ids.shape
-    key_mask = tgt_mask if start == 0 else np.concatenate([cache.mask, tgt_mask], axis=1)
-    causal = np.tril(np.ones((t2, start + t2), dtype=bool), k=start)
-    self_mask = causal[None, :, :] & key_mask[:, None, :]
-    x = _embed_inputs(tgt_ids, sinusoidal_positions(start + t2, cfg.dim)[start:], params, cfg, rng)
-    self_kv: list[tuple[Tensor, Tensor]] = []
-    cross_kv: list[tuple[Tensor, Tensor]] = []
+    if cache is None:
+        pe = sinusoidal_positions(t2, cfg.dim)
+        self_mask = np.tril(np.ones((t2, t2), dtype=bool))[None, :, :] & tgt_mask[:, None, :]
+    else:
+        if start == 0:
+            _open_cache(cache, latent, params, cfg)
+        elif cache.key_mask.shape[0] != B:
+            raise ConfigError(f"the cache serves a batch of {cache.key_mask.shape[0]} rows, "
+                              f"this call has {B}")
+        cache.key_mask[:, start:end] = tgt_mask
+        pe = cache.positions[start:end]
+        causal = np.tril(np.ones((t2, end), dtype=bool), k=start)
+        self_mask = causal[None, :, :] & cache.key_mask[:, None, :end]
+    x = _embed_inputs(tgt_ids, pe, params, cfg, rng)
+    attend = N.multi_head_attention if cache is None else N.attend_cached
     for i in range(cfg.depth):
         y = _ln(x, params, f"layer{i}.ln1")
-        kv = _keys_values(y, params, f"layer{i}.self")
-        if start:
-            kv = tuple(Tensor(np.concatenate([old, new.values], axis=1))
-                       for old, new in zip(cache.self_kv[i], kv))
-        self_kv.append(kv)
-        x = x + _dropout(_mha_layer(y, kv, params, f"layer{i}.self", self_mask, cfg, self_capture),
-                         cfg.dropout, rng)
-        y = _ln(x, params, f"layer{i}.ln2")
-        if start:
-            kv = cache.cross_kv[i]
+        if cache is None:
+            kv = _keys_values(y, params, f"layer{i}.self")
         else:
+            keys, values = cache.self_kv[i]
+            keys[:, :, start:end], values[:, start:end] = _heads_kv(y, params, f"layer{i}.self", cfg.heads)
+            kv = keys[:, :, :end], values[:, :end]
+        x = x + _dropout(_mha_layer(y, kv, params, f"layer{i}.self", self_mask, cfg, self_capture,
+                                    attend), cfg.dropout, rng)
+        y = _ln(x, params, f"layer{i}.ln2")
+        if cache is None:
             kv = _keys_values(latent.values, params, f"layer{i}.cross")
-        cross_kv.append(kv)
-        cross = _mha_layer(y, kv, params, f"layer{i}.cross", latent.mask, cfg, cross_capture)
-        x = x + _dropout(cross, cfg.dropout, rng)
+        else:
+            kv = cache.cross_kv[i]
+        x = x + _dropout(_mha_layer(y, kv, params, f"layer{i}.cross", latent.mask, cfg, cross_capture,
+                                    attend), cfg.dropout, rng)
         x = x + _dropout(_ff(_ln(x, params, f"layer{i}.ln3"), params, f"layer{i}.ff"), cfg.dropout, rng)
     if cache is not None:
-        cache.length, cache.mask = start + t2, key_mask
-        cache.self_kv = [(k.values, v.values) for k, v in self_kv]
-        cache.cross_kv = cross_kv
+        cache.length = end
     x = _ln(x, params, "final_ln")
     return N.linear(x, params["out_w"], params["out_b"])
 

@@ -12,6 +12,13 @@ Conventions:
     each, so their output Tensor is checked; attention also checks its raw
     scores before masking, so an overflow hidden under the mask still
     raises,
+  - attention is one forward core on head-major arrays (queries and
+    values (B·heads, t, head_dim), keys transposed (B·heads, head_dim, t)),
+    shared by two callers: ``multi_head_attention`` splits its Tensors into
+    heads and adds the tape node and backward, and ``attend_cached``, for
+    cached decoding under ``no_grad()``, splits only the queries and reads
+    keys and values already stored head-major. So the attention arithmetic
+    exists once and both give the same bits on the same keys and values,
   - boolean masks are plain numpy arrays, never Tensors,
   - inside ``no_grad()`` operations record no tape: results have no parents,
   - the tape is made of nodes, not Tensors: a Tensor is its ``values`` plus
@@ -592,40 +599,34 @@ def masked_softmax(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     return _result(out_values, (na,), backward)
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
-                         num_heads: int, capture: list | None = None) -> Tensor:
-    """Scaled dot-product attention over ``num_heads`` heads, one tape node.
+def split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
+    """(B, t, h) to the head-major (B·heads, t, h / heads), contiguous."""
+    B, t, h = x.shape
+    heads = np.transpose(x.reshape((B, t, num_heads, h // num_heads)), (0, 2, 1, 3))
+    return np.ascontiguousarray(heads).reshape((B * num_heads, t, h // num_heads))
 
-    q: (B, tq, h), k/v: (B, tk, h). ``mask`` is boolean, (B, tk) for key
-    padding or (B, tq, tk) for a full pattern; masked keys get exactly zero
-    weight. When ``capture`` is given, the weights (B, heads, tq, tk) are
-    appended to it. The raw scores are checked for finiteness before the
-    mask is applied. Heads are split, scored, softmaxed and merged with the
-    numpy calls and array layouts of the equivalent chain of primitive ops,
-    and the backward hands out the same arrays, so results match it bitwise.
-    """
-    qv, kv, vv = q.values, k.values, v.values
-    if qv.ndim != 3 or kv.shape != vv.shape or kv.ndim != 3 \
-            or qv.shape[0] != kv.shape[0] or qv.shape[2] != kv.shape[2]:
-        raise ShapeError(f"attention expects q (B, tq, h) and k, v (B, tk, h), "
-                         f"got {q.shape}, {k.shape}, {v.shape}")
-    B, tq, h = qv.shape
-    tk = kv.shape[1]
-    if h % num_heads != 0:
-        raise ShapeError(f"model dim {h} not divisible by {num_heads} heads")
-    hd = h // num_heads
 
-    def split(x: np.ndarray, t: int) -> np.ndarray:
-        heads = np.ascontiguousarray(np.transpose(x.reshape((B, t, num_heads, hd)), (0, 2, 1, 3)))
-        return heads.reshape((B * num_heads, t, hd))
+def _merge_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
+    """(B·heads, t, hd) back to (B, t, heads·hd); a strided view."""
+    bh, t, hd = x.shape
+    B = bh // num_heads
+    return np.transpose(x.reshape((B, num_heads, t, hd)), (0, 2, 1, 3)).reshape((B, t, num_heads * hd))
 
-    def merge(x: np.ndarray, t: int) -> np.ndarray:
-        return np.transpose(x.reshape((B, num_heads, t, hd)), (0, 2, 1, 3)).reshape((B, t, h))
 
-    q3, k3, v3 = split(qv, tq), split(kv, tk), split(vv, tk)
-    k3t = np.ascontiguousarray(np.transpose(k3, (0, 2, 1)))
-    scale = np.asarray(1.0 / math.sqrt(hd), dtype=qv.dtype)
-    scores = (q3 @ k3t) * scale
+def _attention_scale(q3: np.ndarray) -> np.ndarray:
+    return np.asarray(1.0 / math.sqrt(q3.shape[2]), dtype=q3.dtype)
+
+
+def _attention_forward(q3: np.ndarray, k3t: np.ndarray, v3: np.ndarray, mask: np.ndarray,
+                       num_heads: int, capture: list | None) -> tuple[np.ndarray, np.ndarray]:
+    """The forward of attention on split heads, shared by the tape op and
+    cached decoding: q3 (B·heads, tq, hd), keys already transposed k3t
+    (B·heads, hd, tk), v3 (B·heads, tk, hd). Returns the merged output
+    (B, tq, h) and the weights (B·heads, tq, tk)."""
+    bh, tq, _ = q3.shape
+    tk = k3t.shape[2]
+    B = bh // num_heads
+    scores = (q3 @ k3t) * _attention_scale(q3)
     _check_finite(scores)
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim == 2:
@@ -634,23 +635,72 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     weights = _softmax_values(scores.reshape((B, num_heads, tq, tk)), full, -1)
     if capture is not None:
         capture.append(weights.copy())
-    weights = weights.reshape((B * num_heads, tq, tk))
-    out_values = np.ascontiguousarray(merge(weights @ v3, tq))
+    weights = weights.reshape((bh, tq, tk))
+    return np.ascontiguousarray(_merge_heads(weights @ v3, num_heads)), weights
+
+
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
+                         num_heads: int, capture: list | None = None) -> Tensor:
+    """Scaled dot-product attention over ``num_heads`` heads, one tape node.
+
+    q: (B, tq, h), k/v: (B, tk, h). ``mask`` is boolean, (B, tk) for key
+    padding or (B, tq, tk) for a full pattern; masked keys get exactly zero
+    weight. When ``capture`` is given, the weights (B, heads, tq, tk) are
+    appended to it. The raw scores are checked for finiteness before the
+    mask is applied. Heads are split (``split_heads``), scored, softmaxed
+    and merged with the numpy calls and array layouts of the equivalent
+    chain of primitive ops, and the backward hands out the same arrays, so
+    results match it bitwise. The forward is the one ``attend_cached``
+    runs.
+    """
+    qv, kv, vv = q.values, k.values, v.values
+    if qv.ndim != 3 or kv.shape != vv.shape or kv.ndim != 3 \
+            or qv.shape[0] != kv.shape[0] or qv.shape[2] != kv.shape[2]:
+        raise ShapeError(f"attention expects q (B, tq, h) and k, v (B, tk, h), "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    B, tq, h = qv.shape
+    if h % num_heads != 0:
+        raise ShapeError(f"model dim {h} not divisible by {num_heads} heads")
+    q3, v3 = split_heads(qv, num_heads), split_heads(vv, num_heads)
+    k3t = np.ascontiguousarray(np.transpose(split_heads(kv, num_heads), (0, 2, 1)))
+    out_values, weights = _attention_forward(q3, k3t, v3, mask, num_heads, capture)
+    scale = _attention_scale(q3)
     nq, nk, nv = q._node, k._node, v._node
 
     def backward(g):
-        g_heads = np.transpose(g.reshape((B, tq, num_heads, hd)), (0, 2, 1, 3))
-        g_heads = g_heads.reshape((B * num_heads, tq, hd))
+        # A reshape, not ``split_heads``: at B = 1 it stays a strided view,
+        # and a contiguous copy would reach BLAS with another layout.
+        g_heads = np.transpose(g.reshape((B, tq, num_heads, h // num_heads)), (0, 2, 1, 3))
+        g_heads = g_heads.reshape(q3.shape)
         g_weights = g_heads @ v3.swapaxes(-1, -2)
         g_v3 = weights.swapaxes(-1, -2) @ g_heads
         g_scores = _softmax_grad(weights, g_weights, -1) * scale
         g_q3 = g_scores @ k3t.swapaxes(-1, -2)
         g_k3 = np.transpose(q3.swapaxes(-1, -2) @ g_scores, (0, 2, 1))
-        _accumulate(nq, merge(g_q3, tq))
-        _accumulate(nk, merge(g_k3, tk))
-        _accumulate(nv, merge(g_v3, tk))
+        _accumulate(nq, _merge_heads(g_q3, num_heads))
+        _accumulate(nk, _merge_heads(g_k3, num_heads))
+        _accumulate(nv, _merge_heads(g_v3, num_heads))
 
     return _result(out_values, (nq, nk, nv), backward)
+
+
+def attend_cached(q: Tensor, k3t: np.ndarray, v3: np.ndarray, mask: np.ndarray,
+                  num_heads: int, capture: list | None = None) -> Tensor:
+    """``multi_head_attention``'s forward against keys and values already in
+    head-major layout: k3t (B·heads, hd, tk), transposed, and v3 (B·heads,
+    tk, hd), both possibly views into larger buffers. Only ``q`` (B, tq, h)
+    is split. Records no tape, so it runs only under ``no_grad()``.
+
+    A key view is copied to a contiguous block first: as a view into a
+    wider buffer it would reach BLAS with another leading dimension, and
+    OpenBLAS rounds such small products differently (seen for tk <= 3), so
+    the bits would no longer be ``multi_head_attention``'s. Value views
+    keep the 2-D layout of a contiguous block and are read in place."""
+    if _grad_mode.enabled:
+        raise NumericError("attend_cached records no tape: call it under no_grad()")
+    out_values, _ = _attention_forward(split_heads(q.values, num_heads), np.ascontiguousarray(k3t),
+                                       v3, mask, num_heads, capture)
+    return Tensor(out_values)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -250,6 +251,56 @@ def test_greedy_decode_matches_reference_on_random_models():
         lengths_seen.update(len(row) for row in got)
     # EOS at the first step, at later steps, and rows cut off at max_len
     assert {0, cfg.max_len - 1} < lengths_seen and len(lengths_seen) >= 4
+
+
+def _random_decode_setup(seed, dtype=np.float64):
+    """A tiny random model whose rows stop at different steps, and a source batch."""
+    rng = np.random.default_rng(seed)
+    heads = [1, 2, 4][seed % 3]
+    cfg = M.ModelConfig(src_vocab=12, tgt_vocab=9, depth=1 + seed % 2, dim=4 * heads,
+                        heads=heads, ff_dim=16, emb_dim=6, max_len=9)
+    enc = M.init_encoder_params(cfg, rng, dtype)
+    dec = M.init_decoder_params(cfg, rng, dtype)
+    for i in range(cfg.depth):
+        dec[f"layer{i}.cross.wo"].values *= 6.0
+    dec["out_w"].values *= 6.0
+    src_ids = np.full((16, 6), PAD, dtype=np.int64)
+    for b, length in enumerate(rng.integers(2, 7, size=16)):
+        src_ids[b, 0], src_ids[b, length - 1] = BOS, EOS
+        src_ids[b, 1:length - 1] = rng.integers(4, 12, size=length - 2)
+    return cfg, enc, dec, src_ids
+
+
+def test_greedy_decode_float32_matches_reference_and_stays_float32():
+    for seed in range(6):
+        cfg, enc, dec, src_ids = _random_decode_setup(seed, np.float32)
+        args = (enc, dec, cfg, src_ids, src_ids != PAD)
+        assert E.greedy_decode(*args) == greedy_decode_reference(*args), f"seed {seed}"
+        bos = np.full((16, 1), BOS, dtype=np.int64)
+        with N.no_grad():
+            latent = M.encode(src_ids, src_ids != PAD, enc, cfg)
+            cache = M.DecodeCache()
+            for step in range(3):
+                logits = M.decode(latent, bos + step, bos != PAD, dec, cfg, cache=cache)
+                assert logits.dtype == np.float32
+        assert all(a.dtype == np.float32 for kv in cache.self_kv + cache.cross_kv for a in kv)
+
+
+def test_greedy_decode_builds_cross_keys_once_a_batch(monkeypatch):
+    cfg, enc, dec, src_ids = _random_decode_setup(1)
+    calls = collections.Counter()
+    names = {id(w): name for name, w in dec.items()}
+    linear = N.linear
+
+    def counted(x, w, *args, **kwargs):
+        calls[names.get(id(w))] += 1
+        return linear(x, w, *args, **kwargs)
+
+    monkeypatch.setattr(N, "linear", counted)
+    E.greedy_decode(enc, dec, cfg, src_ids, src_ids != PAD)
+    assert calls["layer0.self.wk"] > 2           # several decode steps ran
+    for i in range(cfg.depth):
+        assert calls[f"layer{i}.cross.wk"] == calls[f"layer{i}.cross.wv"] == 1
 
 
 def test_translate_leaves_training_bytes_unchanged(trained_toy, tmp_path):

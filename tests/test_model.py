@@ -5,7 +5,7 @@ from _oracles import encode_reference
 from ce_nmt import model as M
 from ce_nmt import numerics as N
 from ce_nmt.data import BOS, EOS, PAD
-from ce_nmt.errors import BatchTooSmallError, ConfigError, DegenerateInputError
+from ce_nmt.errors import BatchTooSmallError, ConfigError, DegenerateInputError, NumericError
 
 
 def small_config(**overrides):
@@ -265,10 +265,69 @@ def test_cached_decode_checks(setup):
         M.decode(latent, bos, bos != PAD, dec, cfg, cache=cache)
         M.decode(latent, bos + 4, bos != PAD, dec, cfg, cache=cache)   # BOS only opens a prefix
     assert cache.length == 2
-    assert all(k.shape == (3, 2, cfg.dim) for k, _ in cache.self_kv)
+    bh, hd, src_len = 3 * cfg.heads, cfg.dim // cfg.heads, src_ids.shape[1]
+    assert all(k.shape == (bh, hd, cfg.max_len) and v.shape == (bh, cfg.max_len, hd)
+               for k, v in cache.self_kv)
+    assert all(k.shape == (bh, hd, src_len) and v.shape == (bh, src_len, hd)
+               for k, v in cache.cross_kv)
+
+
+def test_decode_rejects_target_beyond_max_len(setup):
+    cfg, rng, enc, dec, _ = setup
+    src_ids, src_mask = random_batch(rng, cfg)
+    latent = M.encode(src_ids, src_mask, enc, cfg)
+    tgt = np.full((3, cfg.max_len + 1), 5, dtype=np.int64)
+    tgt[:, 0] = BOS
+    M.decode(latent, tgt[:, :-1], tgt[:, :-1] != PAD, dec, cfg)
+    with pytest.raises(ConfigError, match="max_len"):
+        M.decode(latent, tgt, tgt != PAD, dec, cfg)
+    with N.no_grad():
+        with pytest.raises(ConfigError, match="max_len"):
+            M.decode(latent, tgt, tgt != PAD, dec, cfg, cache=M.DecodeCache())
+        cache = M.DecodeCache()
+        for j in range(cfg.max_len):
+            M.decode(latent, tgt[:, j:j + 1], tgt[:, j:j + 1] != PAD, dec, cfg, cache=cache)
+        with pytest.raises(ConfigError, match=f"length {cfg.max_len + 1} exceeds max_len"):
+            M.decode(latent, tgt[:, -1:], tgt[:, -1:] != PAD, dec, cfg, cache=cache)
+    assert cache.length == cfg.max_len
+
+
+def test_cached_decode_rejects_another_batch_size(setup):
+    cfg, rng, enc, dec, _ = setup
+    src_ids, src_mask = random_batch(rng, cfg)
+    bos = np.full((3, 1), BOS, dtype=np.int64)
+    cache = M.DecodeCache()
+    with N.no_grad():
+        M.decode(M.encode(src_ids, src_mask, enc, cfg), bos, bos != PAD, dec, cfg, cache=cache)
+        smaller = M.encode(src_ids[:2], src_mask[:2], enc, cfg)
+        with pytest.raises(ConfigError, match=r"batch of 3 rows, this call has 2"):
+            M.decode(smaller, bos[:2] + 4, bos[:2] != PAD, dec, cfg, cache=cache)
+    assert cache.length == 1
 
 
 # -- attention -----------------------------------------------------------------------
+
+def test_attend_cached_matches_multi_head_attention_bitwise():
+    """Keys and values read from wider head-major buffers, as cached decoding
+    stores them, give ``multi_head_attention``'s bits at every key count."""
+    rng = np.random.default_rng(5)
+    B, heads, hd, width = 3, 2, 8, 9
+    q = N.Tensor(rng.normal(size=(B, 1, heads * hd)))
+    for tk in range(1, width + 1):
+        k = N.Tensor(rng.normal(size=(B, tk, heads * hd)))
+        v = N.Tensor(rng.normal(size=(B, tk, heads * hd)))
+        mask = rng.random((B, tk)) < 0.8
+        mask[:, 0] = True
+        keys = np.zeros((B * heads, hd, width))
+        values = np.zeros((B * heads, width, hd))
+        keys[:, :, :tk] = np.transpose(N.split_heads(k.values, heads), (0, 2, 1))
+        values[:, :tk] = N.split_heads(v.values, heads)
+        with N.no_grad():
+            got = N.attend_cached(q, keys[:, :, :tk], values[:, :tk], mask, heads)
+        assert np.array_equal(got.values, N.multi_head_attention(q, k, v, mask, heads).values), tk
+    with pytest.raises(NumericError, match="no_grad"):
+        N.attend_cached(q, keys, values, mask, heads)
+
 
 def test_attention_single_key_returns_value():
     rng = np.random.default_rng(0)
