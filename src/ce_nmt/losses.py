@@ -1,8 +1,9 @@
 """Training objectives: translation cross-entropy and the Barlow Twins loss.
 
-The Barlow Twins loss is computed on a d x d cross-correlation matrix between
-two batches of projections. As in Barlow Twins, each batch is always
-standardized column-wise with ``batch_norm_train`` first, giving zs and zt:
+Each is one fused op of the numeric core: ``translation_loss`` is
+``numerics.nll`` and ``barlow_twins_loss`` is ``numerics.barlow_twins`` on
+the two projection batches, each first standardized column-wise with
+``batch_norm_train`` as in Barlow Twins, giving zs and zt:
 
     C[i, j] = sum_b zs[b, i] * zt[b, j]
               / (sqrt(sum_b zs[b, i]^2) * sqrt(sum_b zt[b, j]^2))
@@ -10,7 +11,8 @@ standardized column-wise with ``batch_norm_train`` first, giving zs and zt:
     loss = sum_i (1 - C[i, i])^2  +  lambda * sum_i sum_{j != i} C[i, j]^2
 
 Mean-centering is what matters; after it the correlation's own normalization
-reduces to division by B.
+reduces to division by B. ``cross_correlation`` computes C the same way,
+with no tape, for diagnostics.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as N
-from .errors import DegenerateInputError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 from .numerics import Tensor
 
 CORRELATION_TOLERANCE = 1e-6
@@ -32,7 +34,6 @@ class CrossCorrelation:
     """Empirical d x d cross-correlation; entries lie in [-1, 1] up to tolerance."""
 
     values: np.ndarray
-    tensor: Tensor = field(repr=False, default=None)
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -63,44 +64,19 @@ def translation_loss(logits: Tensor, target_ids: np.ndarray,
     ``logits[b, j]`` scores the token that should appear at ``target_ids[b, j]``;
     the caller supplies the usual one-step shift (decoder fed positions < j).
     """
-    target_ids = np.asarray(target_ids)
-    target_mask = np.asarray(target_mask, dtype=bool)
-    if logits.shape[:2] != target_ids.shape or target_ids.shape != target_mask.shape:
-        raise ShapeError(
-            f"logits {logits.shape} vs targets {target_ids.shape} vs mask {target_mask.shape}"
-        )
-    count = int(target_mask.sum())
-    if count == 0:
-        raise DegenerateInputError("translation loss: every target position is masked")
-    logp = N.log_softmax(logits, axis=-1)
-    picked = N.take_along_last(logp, target_ids)
-    masked = picked * target_mask.astype(logits.dtype)
-    return -(masked.sum() * (1.0 / count))
-
-
-def _correlation_tensor(z_s: Tensor, z_t: Tensor, eps: float) -> Tensor:
-    if z_s.shape != z_t.shape or len(z_s.shape) != 2:
-        raise ShapeError(f"projection batches must share a (B, d) shape: {z_s.shape} vs {z_t.shape}")
-    z_s = N.batch_norm_train(z_s)
-    z_t = N.batch_norm_train(z_t)
-    ss = (z_s * z_s).sum(axis=0)
-    tt = (z_t * z_t).sum(axis=0)
-    if eps == 0.0 and (np.minimum(ss.values, tt.values) == 0.0).any():
-        raise NumericError("cross-correlation: zero-norm column with eps disabled")
-    d = z_s.shape[1]
-    ns = N.sqrt(ss + eps).reshape(d, 1)
-    nt = N.sqrt(tt + eps).reshape(1, d)
-    return N.matmul(z_s.transpose(), z_t) / (ns * nt)
+    return N.nll(logits, target_ids, target_mask)
 
 
 def cross_correlation(z_s: Tensor, z_t: Tensor, eps: float = DENOM_EPS) -> CrossCorrelation:
-    """Empirical cross-correlation of two batch-normalized projection batches.
+    """Empirical cross-correlation of two batch-normalized projection batches,
+    computed as ``barlow_twins_loss`` computes it, with no tape.
 
     ``eps`` guards dead columns inside the denominator roots; with
     ``eps=0.0`` a zero-norm column raises ``NumericError``.
     """
-    c = _correlation_tensor(z_s, z_t, eps)
-    return CrossCorrelation(values=c.values.copy(), tensor=c)
+    with N.no_grad():
+        _, c, _, _ = N.barlow_twins(N.batch_norm_train(z_s), N.batch_norm_train(z_t), 0.0, eps)
+    return CrossCorrelation(values=c)
 
 
 def barlow_twins_loss(z_s: Tensor, z_t: Tensor, lam: float,
@@ -112,17 +88,13 @@ def barlow_twins_loss(z_s: Tensor, z_t: Tensor, lam: float,
     """
     if lam < 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    corr = cross_correlation(z_s, z_t, eps=eps)
-    c = corr.tensor
-    diag = N.diagonal(c)
-    invariance = ((1.0 - diag) * (1.0 - diag)).sum()
-    redundancy = (c * c).sum() - (diag * diag).sum()
-    total = invariance + lam * redundancy
+    loss, c, invariance, redundancy = N.barlow_twins(N.batch_norm_train(z_s),
+                                                     N.batch_norm_train(z_t), lam, eps)
     return CELossBreakdown(
-        total=total.item(),
-        invariance_term=invariance.item(),
-        redundancy_term=redundancy.item(),
+        total=loss.item(),
+        invariance_term=invariance,
+        redundancy_term=redundancy,
         lam=lam,
-        loss=total,
-        correlation=corr,
+        loss=loss,
+        correlation=CrossCorrelation(values=c),
     )

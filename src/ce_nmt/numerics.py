@@ -1,17 +1,20 @@
 """Minimal differentiable numeric core.
 
 A reverse-mode tape over numpy arrays, providing exactly the operations
-the translation model and the context-enhancement loss need. Correctness
-is anchored by ``grad_check``: every differentiable operation must match
-central finite differences.
+the translation model and its two losses run. Correctness is anchored by
+``grad_check``: every differentiable operation must match central finite
+differences. The generic ops that the fused ones replaced (``matmul``,
+``masked_softmax``, ``reshape``, ``transpose``, sums and Tensor-by-Tensor
+products) are kept only as the tests' reference chains.
 
 Conventions:
-  - values are float32 or float64 numpy arrays (float64 in tests),
+  - values are float32 or float64 numpy arrays (float64 in tests); every
+    op keeps its inputs' dtype, constants included,
   - non-finite values raise ``NumericError`` at construction time. The
-    fused ops ``linear`` and ``multi_head_attention`` are one tape node
-    each, so their output Tensor is checked; attention also checks its raw
-    scores before masking, so an overflow hidden under the mask still
-    raises,
+    fused ops ``linear``, ``multi_head_attention``, ``nll`` and
+    ``barlow_twins`` are one tape node each, so their output Tensor is
+    checked; attention also checks its raw scores before masking, so an
+    overflow hidden under the mask still raises,
   - attention is one forward core on head-major arrays (queries and
     values (B·heads, t, head_dim), keys transposed (B·heads, head_dim, t)),
     shared by two callers: ``multi_head_attention`` splits its Tensors into
@@ -26,9 +29,10 @@ Conventions:
     function, shape and dtype). A backward function holds the nodes it
     passes gradients to and only the arrays it reads (``linear`` its input
     rows and weight, layer norm its normalized input, attention its split
-    heads and weights, ``relu`` its output, ``log_softmax`` its
-    probabilities); reshapes, sums, lookups, gathers and pools keep shapes
-    and indices only. So a training step keeps, of all the values it
+    heads and weights, ``relu`` its output, ``nll`` its softmax
+    probabilities, ``barlow_twins`` its (B, d) inputs and its (d, d)
+    correlation, numerator and denominator); lookups, gathers and pools
+    keep shapes and indices only. So a training step keeps, of all the values it
     computes, just those arrays; the rest is freed as soon as model code
     drops the Tensor,
   - ``backward()`` releases each non-leaf node's gradient once its backward
@@ -41,7 +45,8 @@ Conventions:
     stored in a ``.grad``, nothing writes into it in place: backward
     functions, ``embedding_lookup``'s scatter and the optimizer all build
     new arrays,
-  - masked softmax / pooling exclude masked positions exactly (weight 0),
+  - attention's softmax and the pools exclude masked positions exactly
+    (weight 0),
     so mask-invariance holds bitwise at 64-bit,
   - packed rows: a ``RowLayout`` names the valid rows of a (B, t) mask, and
     ``gather_rows`` / ``scatter_rows`` move between the padded (B, t, d)
@@ -236,34 +241,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -_wrap(other))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), -self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes) -> "Tensor":
-        return transpose(self, axes or None)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
 
 def _result(values: np.ndarray, parents: tuple[_Node, ...],
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
@@ -326,47 +303,14 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        const = np.asarray(b, dtype=a.dtype)
-        out_values = a.values * const
-        na = a._node
-
-        def backward(g):
-            _accumulate(na, _unbroadcast(g * const, na.shape))
-
-        return _result(out_values, (na,), backward)
-
-    av, bv = a.values, b.values
-    out_values = av * bv
-    na, nb = a._node, b._node
-
-    def backward(g):
-        _accumulate(na, _unbroadcast(g * bv, na.shape))
-        _accumulate(nb, _unbroadcast(g * av, nb.shape))
-
-    return _result(out_values, (na, nb), backward)
-
-
-def div(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        return mul(a, 1.0 / np.asarray(b, dtype=a.dtype))
-    av, bv = a.values, b.values
-    out_values = av / bv
-    na, nb = a._node, b._node
-
-    def backward(g):
-        _accumulate(na, _unbroadcast(g / bv, na.shape))
-        _accumulate(nb, _unbroadcast(-g * av / (bv * bv), nb.shape))
-
-    return _result(out_values, (na, nb), backward)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_values = np.sqrt(a.values)
+    """``a`` times a constant: a number or an array, cast to ``a``'s dtype.
+    No model path multiplies two Tensors, so ``b`` is never one."""
+    const = np.asarray(b, dtype=a.dtype)
+    out_values = a.values * const
     na = a._node
 
     def backward(g):
-        _accumulate(na, g * 0.5 / out_values)
+        _accumulate(na, _unbroadcast(g * const, na.shape))
 
     return _result(out_values, (na,), backward)
 
@@ -382,82 +326,6 @@ def relu(a: Tensor) -> Tensor:
         _accumulate(na, g * (out_values > 0))
 
     return _result(out_values, (na,), backward)
-
-
-# -- shape ------------------------------------------------------------------
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out_values = a.values.reshape(shape)
-    na = a._node
-
-    def backward(g):
-        _accumulate(na, g.reshape(na.shape))
-
-    return _result(out_values, (na,), backward)
-
-
-def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.values.ndim)))
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    out_values = np.transpose(a.values, axes)
-    na = a._node
-
-    def backward(g):
-        _accumulate(na, np.transpose(g, inverse))
-
-    return _result(out_values, (na,), backward)
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_values = a.values.sum(axis=axis, keepdims=keepdims)
-    na = a._node
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(na, np.broadcast_to(g, na.shape).copy())
-
-    return _result(out_values, (na,), backward)
-
-
-def diagonal(a: Tensor) -> Tensor:
-    if a.values.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"diagonal expects a square matrix, got {a.shape}")
-    out_values = np.diagonal(a.values).copy()
-    na = a._node
-
-    def backward(g):
-        full = np.zeros(na.shape, dtype=na.dtype)
-        idx = np.arange(na.shape[0])
-        full[idx, idx] = g
-        _accumulate(na, full)
-
-    return _result(out_values, (na,), backward)
-
-
-# -- linear algebra -----------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of 2-D tensors, or batched product of 3-D tensors."""
-    av, bv = a.values, b.values
-    if av.ndim != bv.ndim or av.ndim not in (2, 3):
-        raise ShapeError(f"matmul expects two 2-D or two 3-D tensors, got {a.shape} and {b.shape}")
-    if av.shape[-1] != bv.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    if av.ndim == 3 and av.shape[0] != bv.shape[0]:
-        raise ShapeError(f"matmul batch dimensions disagree: {a.shape} x {b.shape}")
-    out_values = av @ bv
-    na, nb = a._node, b._node
-
-    def backward(g):
-        _accumulate(na, g @ bv.swapaxes(-1, -2))
-        _accumulate(nb, av.swapaxes(-1, -2) @ g)
-
-    return _result(out_values, (na, nb), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -564,14 +432,14 @@ def gather_rows(x: Tensor, rows: RowLayout) -> Tensor:
     return _result(out_values, (nx,), backward)
 
 
-# -- softmax family -----------------------------------------------------------
+# -- attention ------------------------------------------------------------------
 
 
 def _softmax_values(values: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
     """Softmax along ``axis`` with exactly zero weight where ``mask`` (of
     ``values``' shape) is False; a row with no valid position raises."""
     if not mask.any(axis=axis).all():
-        raise DegenerateInputError("masked_softmax: a row has no unmasked position")
+        raise DegenerateInputError("softmax: a row has no unmasked position")
     scores = np.where(mask, values, -np.inf)
     shifted = scores - scores.max(axis=axis, keepdims=True)
     exps = np.exp(shifted)
@@ -581,22 +449,6 @@ def _softmax_values(values: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarr
 def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     inner = (g * out).sum(axis=axis, keepdims=True)
     return out * (g - inner)
-
-
-def masked_softmax(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax where positions with ``mask == False`` get exactly zero weight.
-
-    ``mask`` is a boolean array broadcastable to ``a.shape``. Rows with no
-    valid position raise ``DegenerateInputError``.
-    """
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
-    out_values = _softmax_values(a.values, mask, axis)
-    na = a._node
-
-    def backward(g):
-        _accumulate(na, _softmax_grad(out_values, g, axis))
-
-    return _result(out_values, (na,), backward)
 
 
 def split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -703,19 +555,6 @@ def attend_cached(q: Tensor, k3t: np.ndarray, v3: np.ndarray, mask: np.ndarray,
     return Tensor(out_values)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_values = shifted - log_norm
-    soft = np.exp(out_values)
-    na = a._node
-
-    def backward(g):
-        _accumulate(na, g - soft * g.sum(axis=axis, keepdims=True))
-
-    return _result(out_values, (na,), backward)
-
-
 # -- normalization -------------------------------------------------------------
 
 
@@ -809,35 +648,16 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return _result(out_values, (nt,), backward)
 
 
-def take_along_last(x: Tensor, ids: np.ndarray) -> Tensor:
-    """Pick one entry along the last axis per leading index: out[..., ] = x[..., ids]."""
-    ids = np.asarray(ids)
-    if ids.shape != x.shape[:-1]:
-        raise ShapeError(f"take_along_last ids shape {ids.shape} must match leading dims of {x.shape}")
-    V = x.shape[-1]
-    if ids.size and (ids.min() < 0 or ids.max() >= V):
-        raise IndexError(f"take_along_last index out of range [0, {V})")
-    out_values = np.take_along_axis(x.values, ids[..., None], axis=-1)[..., 0]
-    lead_idx = np.indices(ids.shape)
-    nx = x._node
-
-    def backward(g):
-        full = np.zeros(nx.shape, dtype=nx.dtype)
-        np.add.at(full, (*lead_idx, ids), g)
-        _accumulate(nx, full)
-
-    return _result(out_values, (nx,), backward)
-
-
 # -- mask-aware pooling ----------------------------------------------------------
 
 
 def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean over unmasked time steps: (B, t, h) with mask (B, t) -> (B, h)."""
+    """Mean over unmasked time steps: (B, t, h) with mask (B, t) -> (B, h).
+    The counts take ``x``'s dtype, so a float32 batch stays float32."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.shape[:2]:
         raise ShapeError(f"pool mask shape {mask.shape} must match {x.shape[:2]}")
-    counts = mask.sum(axis=1)
+    counts = mask.sum(axis=1, dtype=x.dtype)
     if (counts == 0).any():
         raise DegenerateInputError("mean pool: a row has no unmasked position")
     m = mask[..., None].astype(x.dtype)
@@ -871,6 +691,110 @@ def masked_max_pool(x: Tensor, mask: np.ndarray) -> Tensor:
         _accumulate(nx, full)
 
     return _result(out_values, (nx,), backward)
+
+
+# -- losses ---------------------------------------------------------------------
+#
+# Each loss is one tape node whose forward and backward run the numpy calls,
+# in the order and on the array layouts, of the chain of generic ops it
+# replaces, including the order in which that chain summed the gradients of
+# arrays it read more than once. So values and input gradients are that
+# chain's bits. A constant that meets a 0-d value is cast to the inputs'
+# dtype first, so float32 stays float32.
+
+
+def nll(logits: Tensor, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of ``ids`` under ``logits`` over the
+    positions where ``mask`` holds: logits (..., V), ids and mask (...).
+
+    Fuses the log-softmax over the last axis, the gather of the gold entries
+    and the masked mean. The backward keeps the softmax probabilities.
+    """
+    ids = np.asarray(ids)
+    mask = np.asarray(mask, dtype=bool)
+    xv = logits.values
+    if ids.shape != xv.shape[:-1] or mask.shape != ids.shape:
+        raise ShapeError(f"nll expects logits (..., V) and ids and mask of its leading shape, "
+                         f"got {logits.shape}, {ids.shape} and {mask.shape}")
+    V = xv.shape[-1]
+    if ids.size and (ids.min() < 0 or ids.max() >= V):
+        raise IndexError(f"nll id out of range [0, {V}): min={ids.min()}, max={ids.max()}")
+    count = int(mask.sum())
+    if count == 0:
+        raise DegenerateInputError("nll: every target position is masked")
+    shifted = xv - xv.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    weight = mask.astype(xv.dtype)
+    scale = np.asarray(1.0 / count, dtype=xv.dtype)
+    picked = np.take_along_axis(logp, ids[..., None], axis=-1)[..., 0]
+    out_values = -((picked * weight).sum() * scale)
+    soft = np.exp(logp)
+    nx = logits._node
+
+    def backward(g):
+        g_logp = np.zeros(nx.shape, dtype=nx.dtype)
+        np.add.at(g_logp, (*np.indices(ids.shape), ids), -g * scale * weight)
+        _accumulate(nx, g_logp - soft * g_logp.sum(axis=-1, keepdims=True))
+
+    return _result(out_values, (nx,), backward)
+
+
+def barlow_twins(zs: Tensor, zt: Tensor, lam: float,
+                 eps: float) -> tuple[Tensor, np.ndarray, float, float]:
+    """The Barlow Twins loss of two batch-normalized (B, d) projection
+    batches. Returns the loss Tensor, the (d, d) correlation and the
+    invariance and redundancy terms:
+
+        C[i, j] = sum_b zs[b, i] zt[b, j] / (sqrt(sum_b zs[b, i]^2 + eps)
+                                             sqrt(sum_b zt[b, j]^2 + eps))
+        loss = sum_i (1 - C[i, i])^2  +  lam * sum_{i != j} C[i, j]^2
+
+    With ``eps=0.0`` a zero-norm column raises ``NumericError``. The
+    backward keeps the inputs and the (d, d) and (d,) arrays of the forward.
+    """
+    sv, tv = zs.values, zt.values
+    if sv.ndim != 2 or sv.shape != tv.shape:
+        raise ShapeError(f"projection batches must share a (B, d) shape: {zs.shape} vs {zt.shape}")
+    ss, tt = (sv * sv).sum(axis=0), (tv * tv).sum(axis=0)
+    if eps == 0.0 and (np.minimum(ss, tt) == 0.0).any():
+        raise NumericError("cross-correlation: zero-norm column with eps disabled")
+    d = sv.shape[1]
+    lam_c = np.asarray(lam, dtype=sv.dtype)
+    rs, rt = np.sqrt(ss + eps), np.sqrt(tt + eps)
+    ns, nt = rs.reshape(d, 1), rt.reshape(1, d)
+    svt = np.ascontiguousarray(sv.T)
+    m = svt @ tv
+    den = ns * nt
+    c = m / den
+    diag = np.diagonal(c)
+    off = 1.0 - diag
+    invariance = (off * off).sum()
+    redundancy = (c * c).sum() - (diag * diag).sum()
+    out_values = invariance + redundancy * lam_c
+    node_s, node_t = zs._node, zt._node
+
+    def backward(g):
+        g_red = g * lam_c
+        g_off = -(g * off)                       # from each factor of (1 - C_ii)^2
+        g_sq = -g_red * diag                     # from each factor of C_ii^2
+        g_diag = g_off + g_off + g_sq + g_sq
+        g_cc = g_red * c                         # from each factor of C_ij^2
+        g_c = g_cc + g_cc + np.diag(g_diag)
+        g_m = g_c / den
+        g_den = -g_c * m / (den * den)
+        g_ss = _unbroadcast(g_den * nt, ns.shape).reshape(d) * 0.5 / rs
+        g_tt = _unbroadcast(g_den * ns, nt.shape).reshape(d) * 0.5 / rt
+        # Each input reaches C through the product and through both factors
+        # of its squared column norms, in this order.
+        _accumulate(node_t, svt.T @ g_m)
+        _accumulate(node_s, np.transpose(g_m @ tv.T))
+        _accumulate(node_s, g_ss * sv)
+        _accumulate(node_s, g_ss * sv)
+        _accumulate(node_t, g_tt * tv)
+        _accumulate(node_t, g_tt * tv)
+
+    loss = _result(out_values, (node_s, node_t), backward)
+    return loss, c, float(invariance), float(redundancy)
 
 
 # -- gradient checking --------------------------------------------------------

@@ -3,15 +3,22 @@
 These deliberately re-derive every quantity with explicit Python loops and
 never import package internals beyond numpy, so they stay independent of the
 code paths they check. The exceptions are references that a faster package
-path must reproduce bit for bit: ``greedy_decode_reference`` drives the
-package's uncached ``decode`` on the whole prefix at every step, and
-``linear_reference`` / ``attention_reference`` compose the primitive tape
-ops that the fused ``numerics.linear`` and ``numerics.multi_head_attention``
-replace. ``layer_norm_reference`` is layer norm with ``np.mean`` and
-``np.var``, and ``encode_reference`` is the encoder on the padded (B, t)
-layout, PAD rows included, that the packed ``model.encode`` replaces.
-``build_vocab_reference`` is the per-sentence counting loop that the
-one-pass ``data.build_vocab`` replaces.
+path must reproduce bit for bit:
+
+- ``greedy_decode_reference`` drives the package's uncached ``decode`` on
+  the whole prefix at every step.
+- ``linear_reference`` and ``attention_reference`` compose the generic tape
+  ops that the fused ``numerics.linear`` and ``numerics.multi_head_attention``
+  replace. Those ops (``matmul``, ``masked_softmax``, ``reshape``,
+  ``transpose``, ``tsum`` and Tensor-by-Tensor ``mul``) live here, not in
+  the package, because no model path runs them. They are built on the
+  package's ``_result`` and ``_accumulate``, so their tape behaves like the
+  package's own, and the tests also use them to build grad-check objectives.
+- ``layer_norm_reference`` is layer norm with ``np.mean`` and ``np.var``.
+- ``encode_reference`` is the encoder on the padded (B, t) layout, PAD rows
+  included, that the packed ``model.encode`` replaces.
+- ``build_vocab_reference`` is the per-sentence counting loop that the
+  one-pass ``data.build_vocab`` replaces.
 """
 
 import collections
@@ -22,6 +29,7 @@ import numpy as np
 from ce_nmt import model as M
 from ce_nmt import numerics as N
 from ce_nmt.data import BOS, EOS, PAD, RESERVED_TOKENS, Vocabulary
+from ce_nmt.errors import ShapeError
 
 BN_EPS = 1e-5
 CORR_EPS = 1e-9
@@ -129,39 +137,117 @@ def adam_step_reference(values, grads, m, v, step, lr, warmup,
     return new_values, new_m, new_v
 
 
+# -- generic tape ops ----------------------------------------------------------
+
+
+def mul(a, b):
+    """``a * b`` of two Tensors, with numpy broadcasting."""
+    av, bv = a.values, b.values
+    na, nb = a._node, b._node
+
+    def backward(g):
+        N._accumulate(na, N._unbroadcast(g * bv, na.shape))
+        N._accumulate(nb, N._unbroadcast(g * av, nb.shape))
+
+    return N._result(av * bv, (na, nb), backward)
+
+
+def reshape(a, shape):
+    na = a._node
+
+    def backward(g):
+        N._accumulate(na, g.reshape(na.shape))
+
+    return N._result(a.values.reshape(shape), (na,), backward)
+
+
+def transpose(a, axes=None):
+    axes = tuple(reversed(range(a.values.ndim))) if axes is None else tuple(axes)
+    inverse = tuple(np.argsort(axes))
+    na = a._node
+
+    def backward(g):
+        N._accumulate(na, np.transpose(g, inverse))
+
+    return N._result(np.transpose(a.values, axes), (na,), backward)
+
+
+def tsum(a, axis=None, keepdims=False):
+    na = a._node
+
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        N._accumulate(na, np.broadcast_to(g, na.shape).copy())
+
+    return N._result(a.values.sum(axis=axis, keepdims=keepdims), (na,), backward)
+
+
+def matmul(a, b):
+    """Matrix product of 2-D Tensors, or batched product of 3-D Tensors."""
+    av, bv = a.values, b.values
+    if av.ndim != bv.ndim or av.ndim not in (2, 3):
+        raise ShapeError(f"matmul expects two 2-D or two 3-D tensors, got {a.shape} and {b.shape}")
+    if av.shape[-1] != bv.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+    if av.ndim == 3 and av.shape[0] != bv.shape[0]:
+        raise ShapeError(f"matmul batch dimensions disagree: {a.shape} x {b.shape}")
+    na, nb = a._node, b._node
+
+    def backward(g):
+        N._accumulate(na, g @ bv.swapaxes(-1, -2))
+        N._accumulate(nb, av.swapaxes(-1, -2) @ g)
+
+    return N._result(av @ bv, (na, nb), backward)
+
+
+def masked_softmax(a, mask, axis=-1):
+    """Softmax where positions with ``mask == False`` get exactly zero
+    weight, by the softmax helpers that attention runs."""
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
+    out_values = N._softmax_values(a.values, mask, axis)
+    na = a._node
+
+    def backward(g):
+        N._accumulate(na, N._softmax_grad(out_values, g, axis))
+
+    return N._result(out_values, (na,), backward)
+
+
 def linear_reference(x, w, b=None):
-    """``x @ w + b`` as a chain of primitive tape ops: reshape, matmul, add, reshape."""
+    """``x @ w + b`` as a chain of generic tape ops: reshape, matmul, add, reshape."""
     lead = x.shape[:-1]
-    flat = x.reshape((-1, x.shape[-1])) if len(x.shape) != 2 else x
-    out = N.matmul(flat, w)
+    flat = reshape(x, (-1, x.shape[-1])) if len(x.shape) != 2 else x
+    out = matmul(flat, w)
     if b is not None:
         out = out + b
     if len(lead) != 1:
-        out = out.reshape((*lead, w.shape[1]))
+        out = reshape(out, (*lead, w.shape[1]))
     return out
 
 
 def attention_reference(q, k, v, mask, num_heads, capture=None):
-    """Multi-head attention as a chain of primitive tape ops: split heads,
+    """Multi-head attention as a chain of generic tape ops: split heads,
     scores, scale, masked softmax, weighted sum, merge heads."""
     B, tq, h = q.shape
     tk = k.shape[1]
     hd = h // num_heads
 
     def split(x, t):
-        return x.reshape((B, t, num_heads, hd)).transpose(0, 2, 1, 3).reshape((B * num_heads, t, hd))
+        heads = transpose(reshape(x, (B, t, num_heads, hd)), (0, 2, 1, 3))
+        return reshape(heads, (B * num_heads, t, hd))
 
     q3, k3, v3 = split(q, tq), split(k, tk), split(v, tk)
-    scores = N.matmul(q3, k3.transpose(0, 2, 1)) * (1.0 / math.sqrt(hd))
+    scores = matmul(q3, transpose(k3, (0, 2, 1))) * (1.0 / math.sqrt(hd))
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim == 2:
         mask = mask[:, None, :]
     full = np.broadcast_to(mask[:, None, :, :], (B, num_heads, tq, tk)).reshape(B * num_heads, tq, tk)
-    weights = N.masked_softmax(scores, full, axis=-1)
+    weights = masked_softmax(scores, full, axis=-1)
     if capture is not None:
         capture.append(weights.values.reshape(B, num_heads, tq, tk).copy())
-    merged = N.matmul(weights, v3)
-    return merged.reshape((B, num_heads, tq, hd)).transpose(0, 2, 1, 3).reshape((B, tq, h))
+    merged = transpose(reshape(matmul(weights, v3), (B, num_heads, tq, hd)), (0, 2, 1, 3))
+    return reshape(merged, (B, tq, h))
 
 
 def layer_norm_reference(x, gain, bias, g, eps=1e-5):

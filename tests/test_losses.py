@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from ce_nmt import numerics as N
 from ce_nmt.errors import DegenerateInputError, NumericError, ShapeError
 
 from _oracles import barlow_oracle, cross_correlation_oracle, nll_oracle
+from test_numerics import _tape
 
 
 def T(values):
@@ -60,6 +62,19 @@ def test_translation_loss_all_masked_errors():
     with pytest.raises(DegenerateInputError):
         L.translation_loss(T(np.zeros((1, 2, 3))), np.zeros((1, 2), dtype=int),
                            np.zeros((1, 2), dtype=bool))
+
+
+def test_translation_loss_checks_shapes_and_ids():
+    logits = T(np.zeros((2, 3, 4)))
+    ids, mask = np.zeros((2, 3), dtype=int), np.ones((2, 3), dtype=bool)
+    with pytest.raises(ShapeError):
+        L.translation_loss(logits, ids[:, :2], mask[:, :2])
+    with pytest.raises(ShapeError):
+        L.translation_loss(logits, ids, mask[:, :2])
+    for bad in (-1, 4):
+        ids[1, 2] = bad
+        with pytest.raises(IndexError):
+            L.translation_loss(logits, ids, mask)
 
 
 def test_translation_loss_gradient():
@@ -218,3 +233,82 @@ def test_full_ce_pipeline_gradient():
         return L.barlow_twins_loss(zs, zt, lam=5e-3).loss
 
     assert N.grad_check(objective, tensors) < 1e-4
+
+
+# -- the fused losses: pinned bits, dtype, one tape node ---------------------------------
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# Digests of the value and input gradients (and for Barlow Twins, of the
+# correlation) computed by the chain of generic tape ops that each fused op
+# replaced: log_softmax, take_along_last, mul and sum for ``nll``; and for
+# ``barlow_twins``, on batch-normalized inputs, mul, sum, sqrt, reshape,
+# transpose, matmul, div, diagonal and the Tensor operator sugar. The chain
+# ran in float64 and, for ``nll``, in float32 too (the Barlow chain promoted
+# float32 to float64, so it has no float32 bits to keep).
+PINNED_NLL_SHA256 = {
+    "float64": "c653ee0ff62f48fa9e9afef71b77ded7e7ef55e3b94eaf04ed5a518cd7bddd49",
+    "float32": "2fef48c9540b3007fd88f76ffc2a69b2cfe901568a3a6c78e6de9c7ff2ec38db",
+}
+PINNED_BARLOW_SHA256 = {
+    (0.0, 0.0): "41b6bd3efafda65f4d23bd9b11628995f387a1c0f6967e664d4bc9bf59052b14",
+    (0.0, 5e-3): "5a3bca20cc629373ef40b19052df4ca8117b5e4a13550aa5b7ce1d30d02f1b6f",
+    (1e-9, 0.0): "c4a25e3b06d2b35ea2dd3b97718549880f50f5c24167b8a87ea54775c4556cdd",
+    (1e-9, 5e-3): "3c014c926bbbcb846c0e47655bbdfa94b9b1aef43945e575d46df779504de0d5",
+}
+
+
+@pytest.mark.parametrize("dtype", sorted(PINNED_NLL_SHA256))
+def test_nll_bits_pinned(dtype):
+    rng = np.random.default_rng(31)
+    logits = (rng.normal(size=(4, 6, 11)) * 3.0).astype(dtype)
+    mask = np.arange(6)[None, :] < np.array([6, 4, 1, 3])[:, None]   # padded targets
+    ids = np.where(mask, rng.integers(0, 11, size=(4, 6)), 0)
+    x = N.Tensor(logits, requires_grad=True)
+    loss = N.nll(x, ids, mask)
+    loss.backward()
+    assert _digest([loss.values, x.grad]) == PINNED_NLL_SHA256[dtype]
+
+
+@pytest.mark.parametrize("eps, lam", sorted(PINNED_BARLOW_SHA256))
+def test_barlow_twins_bits_pinned(eps, lam):
+    rng = np.random.default_rng(32)
+    zs, zt = rng.normal(size=(16, 8)) * 2.0 + 0.5, rng.normal(size=(16, 8)) - 0.3
+    zt[:, :4] += zs[:, :4]
+    zs, zt = [N.Tensor((z - z.mean(axis=0)) / z.std(axis=0), requires_grad=True) for z in (zs, zt)]
+    loss, c, _, _ = N.barlow_twins(zs, zt, lam, eps)
+    loss.backward()
+    assert _digest([loss.values, c, zs.grad, zt.grad]) == PINNED_BARLOW_SHA256[(eps, lam)]
+
+
+def test_float32_losses_stay_float32():
+    rng = np.random.default_rng(12)
+    zs, zt = (N.Tensor(rng.normal(size=(8, 4)).astype(np.float32), requires_grad=True)
+              for _ in range(2))
+    out = L.barlow_twins_loss(zs, zt, lam=5e-3)
+    out.loss.backward()
+    assert out.loss.dtype == np.float32 and out.correlation.values.dtype == np.float32
+    assert zs.grad.dtype == np.float32 and zt.grad.dtype == np.float32
+    logits = N.Tensor(rng.normal(size=(2, 3, 5)).astype(np.float32), requires_grad=True)
+    loss = L.translation_loss(logits, rng.integers(0, 5, size=(2, 3)), np.ones((2, 3), dtype=bool))
+    loss.backward()
+    assert loss.dtype == np.float32 and logits.grad.dtype == np.float32
+
+
+def test_each_loss_is_one_tape_node():
+    rng = np.random.default_rng(13)
+    zs, zt = T(rng.normal(size=(6, 3))), T(rng.normal(size=(6, 3)))
+    loss = L.barlow_twins_loss(zs, zt, lam=5e-3).loss
+    batch_norms = loss._node.parents
+    assert len(batch_norms) == 2
+    assert [bn.parents for bn in batch_norms] == [(zs._node,), (zt._node,)]
+    assert len(_tape(loss)) == 2 + 2 + 1          # inputs, batch norms, the loss
+    logits = T(rng.normal(size=(2, 3, 5)))
+    nll = L.translation_loss(logits, rng.integers(0, 5, size=(2, 3)), np.ones((2, 3), dtype=bool))
+    assert nll._node.parents == (logits._node,)
+    assert len(_tape(nll)) == 1 + 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import encode_reference
+from _oracles import encode_reference, tsum
 from ce_nmt import model as M
 from ce_nmt import numerics as N
 from ce_nmt.data import BOS, EOS, PAD
@@ -133,7 +133,7 @@ def encode_and_grads(encoder_fn, ids, mask, enc, cfg, pooling, weight, dropout_s
         p.zero_grad()
     rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
     latent = encoder_fn(ids, mask, enc, cfg, rng=rng)
-    (M.pool(latent, pooling).values * weight).sum().backward()
+    tsum(M.pool(latent, pooling).values * weight).backward()
     return latent.values.values, {k: p.grad for k, p in enc.items()}
 
 
