@@ -91,11 +91,17 @@ _KEY_TO_ATTR = {key: f.name for key, f in _FIELDS.items()}
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
 
+# field -> (">=" or ">", bound): the values a numeric option accepts. The
+# options not named here are checked where their config object is built.
+_RANGES = {"seed": (">=", 0), "steps": (">=", 0), "finetune_steps": (">=", -1),
+           "lr": (">", 0), "batch_size": (">=", 1), "min_freq": (">=", 1),
+           "max_vocab": (">=", 5)}
+
 
 def _convert(f: dataclasses.Field, text: str):
     """Parse a flag or config-file value for field ``f``: the type of its
-    default (str when that is None), booleans by word, and its choices.
-    Raises ValueError on bad input."""
+    default (str when that is None), booleans by word, its choices and its
+    range in ``_RANGES``. Raises ValueError on bad input."""
     kind = str if f.default is None else type(f.default)
     if kind is bool:
         if text.lower() not in _TRUE | _FALSE:
@@ -108,6 +114,10 @@ def _convert(f: dataclasses.Field, text: str):
     choices = f.metadata["choices"]
     if choices and value not in choices:
         raise ValueError(f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+    if f.name in _RANGES:
+        op, bound = _RANGES[f.name]
+        if not (value >= bound if op == ">=" else value > bound):
+            raise ValueError(f"must be {op} {bound}, got {value}")
     return value
 
 

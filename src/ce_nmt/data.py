@@ -2,8 +2,8 @@
 
 External formats:
   - parallel corpus: two line-aligned UTF-8 files, one sentence per line,
-  - embedding file: header "<count> <dim>", then "<token> <v1> ... <vdim>"
-    rows with space-separated decimal floats,
+  - embedding file: header "<count> <dim>", then one "<token> <v1> ... <vdim>"
+    row per token with space-separated decimal floats,
   - vocabulary file: one token per line, line number = id; the first four
     lines are the reserved tokens, and no line is empty or repeated.
 
@@ -62,9 +62,6 @@ class Vocabulary:
 
     def tokens(self) -> list[str]:
         return list(self._id_to_token)
-
-    def non_reserved(self) -> list[str]:
-        return self._id_to_token[len(RESERVED_TOKENS):]
 
     def save(self, path) -> None:
         Path(path).write_text("\n".join(self._id_to_token) + "\n", encoding="utf-8")
@@ -243,6 +240,7 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, dim: int,
     file (reserved ids included) are drawn from a seeded normal scaled by the
     file's per-dimension standard deviation, so loaded and initialized rows
     are statistically comparable. Coverage counts non-reserved entries only.
+    A token that has a second row is an error naming both lines.
     """
     lines = read_utf8_lines(path, EmbeddingFormatError)
     if not lines:
@@ -260,6 +258,7 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, dim: int,
         raise EmbeddingFormatError(f"header declares {count} rows, file has {len(lines) - 1}", line=1)
 
     file_rows: dict[str, np.ndarray] = {}
+    row_line: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != dim + 1:
@@ -270,7 +269,11 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, dim: int,
             vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
         except ValueError as exc:
             raise EmbeddingFormatError(f"malformed float in row: {exc}", line=lineno) from exc
+        if parts[0] in file_rows:
+            raise EmbeddingFormatError(f"token {parts[0]!r} repeats the row of line "
+                                       f"{row_line[parts[0]]}", line=lineno)
         file_rows[parts[0]] = vec
+        row_line[parts[0]] = lineno
 
     stacked = np.stack(list(file_rows.values())) if file_rows else np.zeros((1, dim))
     per_dim_std = stacked.std(axis=0)

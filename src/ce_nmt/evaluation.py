@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import model as M
-from .data import BOS, EOS, PAD, ParallelCorpus, Vocabulary, source_batches, subtract_centroid
+from .data import BOS, EOS, PAD, ParallelCorpus, Vocabulary, batch_iter, source_batches, \
+    subtract_centroid
 from .errors import ConfigError, ProtocolError
 from .losses import cross_correlation
 from .numerics import no_grad
@@ -60,14 +61,10 @@ class ProbeClassifier:
         logits = self._features(embeddings) @ self.weights + self.bias
         return logits.argmax(axis=1)
 
-    def evaluate(self, embeddings: np.ndarray, labels) -> tuple[float, np.ndarray]:
-        """Returns (accuracy, LxL confusion counts with rows = true class)."""
+    def evaluate(self, embeddings: np.ndarray, labels) -> float:
+        """Accuracy of the predicted languages against ``labels``."""
         idx = np.array([self.languages.index(l) for l in labels])
-        pred = self.predict(embeddings)
-        L = len(self.languages)
-        confusion = np.zeros((L, L), dtype=np.int64)
-        np.add.at(confusion, (idx, pred), 1)
-        return float((pred == idx).mean()), confusion
+        return float((self.predict(embeddings) == idx).mean())
 
 
 def _validate_probe_inputs(embeddings: np.ndarray, labels) -> list[str]:
@@ -130,13 +127,15 @@ def fit_probe(embeddings: np.ndarray, labels, languages: list[str]) -> ProbeClas
 
 @dataclass
 class ProtocolResult:
+    """The accuracies a1, a2, a3 of one protocol run (see the module
+    docstring); ``summary()`` is the record the CLI and the bench emit."""
+
     a1: float
     a2: float
     a3: float
     variant: str
     languages: list[str]
     n_samples: int
-    confusion: dict[str, np.ndarray]
 
     def summary(self) -> dict:
         return {
@@ -164,12 +163,11 @@ def run_protocol(baseline: np.ndarray, enhanced: np.ndarray, labels, seed: int,
     test_labels = [labels[i] for i in test_idx]
 
     c1 = fit_probe(baseline[train_idx], [labels[i] for i in train_idx], languages)
-    a1, conf1 = c1.evaluate(baseline[test_idx], test_labels)
-    a2, conf2 = c1.evaluate(enhanced[test_idx], test_labels)
+    a1 = c1.evaluate(baseline[test_idx], test_labels)
+    a2 = c1.evaluate(enhanced[test_idx], test_labels)
     c2 = fit_probe(enhanced[train_idx], [labels[i] for i in train_idx], languages)
-    a3, conf3 = c2.evaluate(enhanced[test_idx], test_labels)
-    return ProtocolResult(a1, a2, a3, variant, languages, len(labels),
-                          {"a1": conf1, "a2": conf2, "a3": conf3})
+    a3 = c2.evaluate(enhanced[test_idx], test_labels)
+    return ProtocolResult(a1, a2, a3, variant, languages, len(labels))
 
 
 def run_centroid_protocol(embeddings: np.ndarray, labels, seed: int) -> ProtocolResult:
@@ -284,7 +282,7 @@ def pool_sentence_embeddings(encoder, cfg: M.ModelConfig, sentences, vocab: Voca
     rows: list[np.ndarray] = []
     for ids in source_batches(sentences, vocab, batch_size, cfg.max_len):
         latent = M.encode(ids, ids != PAD, encoder, cfg)
-        rows.append(M.pool(latent, cfg.pooling).values.values)
+        rows.append(M.pool(latent, cfg.pooling).values)
     return np.vstack(rows)
 
 
@@ -364,7 +362,6 @@ def export_diagnostics(ckpt, corpus: ParallelCorpus, vocab_enc: Vocabulary,
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = ckpt.config
     written: list[Path] = []
-    from .data import batch_iter
 
     if ckpt.projection is not None:
         for k, batch in enumerate(batch_iter(corpus, vocab_enc, vocab_enc, batch_size,

@@ -52,7 +52,6 @@ class CELossBreakdown:
     total: float
     invariance_term: float
     redundancy_term: float
-    lam: float
     loss: Tensor = field(repr=False, default=None)
     correlation: CrossCorrelation = field(repr=False, default=None)
 
@@ -94,7 +93,6 @@ def barlow_twins_loss(z_s: Tensor, z_t: Tensor, lam: float,
         total=loss.item(),
         invariance_term=invariance,
         redundancy_term=redundancy,
-        lam=lam,
         loss=loss,
         correlation=CrossCorrelation(values=c),
     )

@@ -27,7 +27,7 @@ so any change confined to padding leaves unmasked outputs bitwise unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -81,9 +81,6 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(**d)
 
-    def with_ce(self, proj_dim: int, pooling: str) -> "ModelConfig":
-        return replace(self, proj_dim=proj_dim, pooling=pooling)
-
 
 class ParamGroup:
     """Named parameter tensors in a fixed construction order."""
@@ -97,19 +94,9 @@ class ParamGroup:
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self.tensors.items())
 
-    def values(self) -> list[Tensor]:
-        return list(self.tensors.values())
-
     def copy(self) -> "ParamGroup":
         return ParamGroup({k: Tensor(v.values.copy(), requires_grad=True)
                            for k, v in self.tensors.items()})
-
-    def allclose(self, other: "ParamGroup") -> bool:
-        """True when both groups hold the same names with bitwise-equal values."""
-        if self.tensors.keys() != other.tensors.keys():
-            return False
-        return all(np.array_equal(a.values, other.tensors[k].values)
-                   for k, a in self.tensors.items())
 
 
 GROUPS = ("encoder", "decoder", "projection")
@@ -205,13 +192,6 @@ class LatentSequence:
 
     values: Tensor
     mask: np.ndarray
-
-
-@dataclass
-class SentenceEmbedding:
-    """Pooled sentence vectors (B, dim)."""
-
-    values: Tensor
 
 
 @dataclass
@@ -434,21 +414,22 @@ def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
     return N.linear(x, params["out_w"], params["out_b"])
 
 
-def pool(latent: LatentSequence, kind: str) -> SentenceEmbedding:
-    """Aggregate unmasked latent states into one vector per sentence."""
+def pool(latent: LatentSequence, kind: str) -> Tensor:
+    """Aggregate unmasked latent states into one vector per sentence: the
+    sentence embeddings (B, dim)."""
     if kind == "mean":
-        return SentenceEmbedding(N.masked_mean_pool(latent.values, latent.mask))
+        return N.masked_mean_pool(latent.values, latent.mask)
     if kind == "max":
-        return SentenceEmbedding(N.masked_max_pool(latent.values, latent.mask))
+        return N.masked_max_pool(latent.values, latent.mask)
     raise ConfigError(f"pooling must be one of {POOLING_KINDS}, got {kind!r}")
 
 
-def project(sigma: SentenceEmbedding, params: ParamGroup) -> Tensor:
-    """Three linear layers; the first two are batch-normalized and rectified.
+def project(sentences: Tensor, params: ParamGroup) -> Tensor:
+    """Map pooled sentence embeddings (B, dim) to (B, proj_dim) through
+    three linear layers; the first two are batch-normalized and rectified.
 
     The final layer is bare: the loss pipeline applies its own batch norm.
     """
-    x = sigma.values
-    x = N.relu(N.batch_norm_train(N.linear(x, params["w1"], params["b1"])))
+    x = N.relu(N.batch_norm_train(N.linear(sentences, params["w1"], params["b1"])))
     x = N.relu(N.batch_norm_train(N.linear(x, params["w2"], params["b2"])))
     return N.linear(x, params["w3"], params["b3"])

@@ -22,6 +22,8 @@ Conventions:
     cached decoding under ``no_grad()``, splits only the queries and reads
     keys and values already stored head-major. So the attention arithmetic
     exists once and both give the same bits on the same keys and values,
+  - ``layer_norm`` and ``batch_norm_train`` add the constants ``LN_EPS``
+    and ``BN_EPS`` (both 1e-5) to the variance; no caller sets another,
   - boolean masks are plain numpy arrays, never Tensors,
   - inside ``no_grad()`` operations record no tape: results have no parents,
   - the tape is made of nodes, not Tensors: a Tensor is its ``values`` plus
@@ -75,6 +77,8 @@ from .errors import (
 )
 
 _FLOATS = (np.float32, np.float64)
+LN_EPS = 1e-5    # added to the variance in ``layer_norm``
+BN_EPS = 1e-5    # added to the variance in ``batch_norm_train``
 
 
 class _GradMode(threading.local):
@@ -174,10 +178,6 @@ class Tensor:
     def requires_grad(self) -> bool:
         return self._node.requires_grad
 
-    @requires_grad.setter
-    def requires_grad(self, flag: bool) -> None:
-        self._node.requires_grad = bool(flag)
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
@@ -191,9 +191,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.values.reshape(()))
-
-    def zero_grad(self) -> None:
-        self._node.grad = None
 
     # -- graph ------------------------------------------------------------
 
@@ -565,18 +562,16 @@ def _mean_last(a: np.ndarray) -> np.ndarray:
     return np.true_divide(total, np.intp(a.shape[-1]), out=total, casting="unsafe")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     The mean is computed once and ``x - mean`` serves both the variance and
     the normalized values, with the same arithmetic as ``np.mean`` and
     ``np.var``. In-place writes go only into this op's own temporaries.
     """
-    if eps <= 0:
-        raise NumericError("layer_norm requires eps > 0")
     centered = x.values - _mean_last(x.values)
     var = _mean_last(np.square(centered))
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = np.multiply(centered, inv, out=centered)
     gv = gain.values
     out_values = xhat * gv + bias.values
@@ -597,14 +592,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result(out_values, (nx, ngain, nbias), backward)
 
 
-def batch_norm_train(x: Tensor, eps: float = 1e-5) -> Tensor:
+def batch_norm_train(x: Tensor) -> Tensor:
     """Standardize each column of a (B, d) batch with population statistics.
 
     No affine parameters, no running averages: outputs feed a loss directly
     and are never used at inference time.
     """
-    if eps <= 0:
-        raise NumericError("batch_norm_train requires eps > 0")
     if x.values.ndim != 2:
         raise ShapeError(f"batch_norm_train expects a (B, d) matrix, got {x.shape}")
     B = x.shape[0]
@@ -612,7 +605,7 @@ def batch_norm_train(x: Tensor, eps: float = 1e-5) -> Tensor:
         raise BatchTooSmallError(f"batch_norm_train requires B >= 2, got B={B}")
     mu = x.values.mean(axis=0, keepdims=True)
     var = x.values.var(axis=0, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.values - mu) * inv
     nx = x._node
 
@@ -807,7 +800,7 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor], eps: float = 
     ``|analytic - central| / max(1, |central|)``.
     """
     for t in inputs:
-        t.zero_grad()
+        t.grad = None
     out = f(*inputs)
     if out.values.size != 1:
         raise NumericError("grad_check requires a scalar-valued function")

@@ -16,15 +16,6 @@ import numpy as np
 from .data import ParallelCorpus, SentencePair
 
 
-def _check_sizes(vocab_size: int, min_len: int, max_len: int) -> None:
-    if vocab_size < 1:
-        raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
-    if min_len < 1:
-        raise ValueError(f"min_len must be >= 1, got {min_len}")
-    if min_len > max_len:
-        raise ValueError(f"min_len must be <= max_len, got {min_len} > {max_len}")
-
-
 def make_cipher_corpus(n_pairs: int, vocab_size: int = 50, min_len: int = 3,
                        max_len: int = 10, seed: int = 0, cipher_seed: int = 12345) -> ParallelCorpus:
     """Random sentences over ``vocab_size`` source words, ciphered per token.
@@ -32,7 +23,12 @@ def make_cipher_corpus(n_pairs: int, vocab_size: int = 50, min_len: int = 3,
     The token mapping depends only on ``cipher_seed``, so train and test
     splits drawn with different ``seed`` values share one language pair.
     """
-    _check_sizes(vocab_size, min_len, max_len)
+    if vocab_size < 1:
+        raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
+    if min_len < 1:
+        raise ValueError(f"min_len must be >= 1, got {min_len}")
+    if min_len > max_len:
+        raise ValueError(f"min_len must be <= max_len, got {min_len} > {max_len}")
     rng = np.random.default_rng(seed)
     cipher = np.random.default_rng(cipher_seed).permutation(vocab_size)
     source_words = [f"s{w:02d}" for w in range(vocab_size)]
@@ -43,20 +39,6 @@ def make_cipher_corpus(n_pairs: int, vocab_size: int = 50, min_len: int = 3,
         word_ids = rng.integers(0, vocab_size, size=length).tolist()
         pairs.append(SentencePair(tuple(map(source_words.__getitem__, word_ids)),
                                   tuple(map(target_words.__getitem__, word_ids))))
-    return ParallelCorpus(pairs)
-
-
-def make_identity_corpus(n_pairs: int, vocab_size: int = 30, min_len: int = 2,
-                         max_len: int = 8, seed: int = 0) -> ParallelCorpus:
-    """Copy task: target equals source; the easiest possible translation."""
-    _check_sizes(vocab_size, min_len, max_len)
-    rng = np.random.default_rng(seed)
-    words = [f"w{w:02d}" for w in range(vocab_size)]
-    pairs = []
-    for _ in range(n_pairs):
-        length = int(rng.integers(min_len, max_len + 1))
-        tokens = tuple(map(words.__getitem__, rng.integers(0, vocab_size, size=length).tolist()))
-        pairs.append(SentencePair(tokens, tokens))
     return ParallelCorpus(pairs)
 
 

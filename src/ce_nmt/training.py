@@ -30,7 +30,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -540,7 +540,7 @@ def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabu
     """
     if start.encoder is None:
         raise ConfigError("context enhancement requires encoder parameters")
-    cfg = start.config.with_ce(ce_cfg.proj_dim, ce_cfg.pooling)
+    cfg = replace(start.config, proj_dim=ce_cfg.proj_dim, pooling=ce_cfg.pooling)
     enc = start.encoder.copy()
     dec = start.decoder.copy() if start.decoder is not None else None
     proj = M.init_projection_params(cfg, np.random.default_rng(seed),
@@ -579,7 +579,7 @@ def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabu
                                 out_dir, f"diverged-{epoch}.ckpt") from exc
             totals += (breakdown.total, breakdown.invariance_term, breakdown.redundancy_term)
             batches += 1
-            report = monitor.observe(np.vstack([sig_s.values.values, sig_t.values.values]))
+            report = monitor.observe(np.vstack([sig_s.values, sig_t.values]))
             collapsed_streak = collapsed_streak + 1 if report.status == "collapsed" else 0
             if collapsed_streak >= COLLAPSE_PATIENCE:
                 if out_dir is not None:

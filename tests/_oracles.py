@@ -19,6 +19,10 @@ path must reproduce bit for bit:
   included, that the packed ``model.encode`` replaces.
 - ``build_vocab_reference`` is the per-sentence counting loop that the
   one-pass ``data.build_vocab`` replaces.
+
+Two helpers that only tests need also live here: ``make_identity_corpus``,
+the seeded copy-task corpus (target equals source), and ``params_equal``,
+which compares two ``model.ParamGroup``s bit for bit.
 """
 
 import collections
@@ -28,7 +32,7 @@ import numpy as np
 
 from ce_nmt import model as M
 from ce_nmt import numerics as N
-from ce_nmt.data import BOS, EOS, PAD, RESERVED_TOKENS, Vocabulary
+from ce_nmt.data import BOS, EOS, PAD, RESERVED_TOKENS, ParallelCorpus, SentencePair, Vocabulary
 from ce_nmt.errors import ShapeError
 
 BN_EPS = 1e-5
@@ -299,3 +303,22 @@ def build_vocab_reference(sentences, min_freq: int = 1, max_size: int = 50_000) 
         key=lambda tok: (-counts[tok], tok),
     )
     return Vocabulary(kept[: max_size - len(RESERVED_TOKENS)])
+
+
+def make_identity_corpus(n_pairs, vocab_size=30, min_len=2, max_len=8, seed=0):
+    """Copy task: target equals source; the easiest possible translation."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{w:02d}" for w in range(vocab_size)]
+    pairs = []
+    for _ in range(n_pairs):
+        length = int(rng.integers(min_len, max_len + 1))
+        tokens = tuple(map(words.__getitem__, rng.integers(0, vocab_size, size=length).tolist()))
+        pairs.append(SentencePair(tokens, tokens))
+    return ParallelCorpus(pairs)
+
+
+def params_equal(a, b):
+    """True when two ``ParamGroup``s hold the same names with bitwise-equal values."""
+    if a.tensors.keys() != b.tensors.keys():
+        return False
+    return all(np.array_equal(t.values, b.tensors[k].values) for k, t in a.tensors.items())

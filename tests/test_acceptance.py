@@ -146,7 +146,7 @@ def test_criterion_03_gradient_suite():
     src = np.array([[1, 4, 5, 2], [1, 6, 2, 0], [1, 7, 8, 2], [1, 5, 9, 2]])
     tgt = np.array([[1, 6, 2, 0], [1, 4, 7, 2], [1, 8, 2, 0], [1, 4, 2, 0]])
     src_mask, tgt_mask = src != 0, tgt != 0
-    tensors = list(enc.values()) + list(proj.values())
+    tensors = list(enc.tensors.values()) + list(proj.tensors.values())
 
     def ce_objective(*_):
         zs = M.project(M.pool(M.encode(src, src_mask, enc, cfg), "mean"), proj)
@@ -193,10 +193,10 @@ def test_criterion_04_mask_and_causality():
             altered[b, t] = int(rng.integers(4, cfg.src_vocab))
             lat2 = M.encode(altered, src_mask, enc, cfg)
             assert np.array_equal(latent.values.values[src_mask], lat2.values.values[src_mask])
-            assert np.array_equal(M.pool(latent, "mean").values.values,
-                                  M.pool(lat2, "mean").values.values)
-            assert np.array_equal(M.pool(latent, "max").values.values,
-                                  M.pool(lat2, "max").values.values)
+            assert np.array_equal(M.pool(latent, "mean").values,
+                                  M.pool(lat2, "mean").values)
+            assert np.array_equal(M.pool(latent, "max").values,
+                                  M.pool(lat2, "max").values)
             assert np.array_equal(logits, M.decode(lat2, tgt_ids, tgt_mask, dec, cfg).values)
 
         for j in range(4):

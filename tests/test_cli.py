@@ -177,6 +177,19 @@ def test_pipeline_skip_pretrain_with_embedding_file(toy_files):
     assert len(list(out.glob("*.ckpt"))) == 2
 
 
+def test_embedding_file_with_a_repeated_token_exits_2(toy_files, capsys):
+    tmp, src, tgt = toy_files
+    emb = tmp / "emb.txt"
+    emb.write_text("2 16\n" + "".join(f"s00 {' '.join([str(r)] * 16)}\n" for r in (1, 2)))
+    code = cli.main(["pipeline", "--source", src, "--target", tgt, "--out", str(tmp / "dup"),
+                     "--skip-pretrain", "--embeddings", str(emb), "--steps", "3",
+                     "--epochs", "2", *SMALL_MODEL])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 3: token 's00' repeats the row of line 2" in err and "Traceback" not in err
+    assert not list((tmp / "dup").glob("*.ckpt"))
+
+
 def test_pipeline_metrics_rerun_byte_identical(toy_files):
     tmp, src, tgt = toy_files
     blobs = []
@@ -430,6 +443,38 @@ def test_config_file_value_outside_choices_exits_2(pipeline_out, capsys):
     assert code == 2
     assert "invalid choice: 'blue'" in capsys.readouterr().err
     assert not (tmp / "blue").exists()
+
+
+# (command, field, value): each value lies outside the field's range.
+OUT_OF_RANGE = [("train", "seed", "-1"), ("train", "steps", "-3"),
+                ("finetune", "finetune_steps", "-5"), ("train", "lr", "0"),
+                ("train", "lr", "-1"), ("train", "batch_size", "0"),
+                ("eval", "batch_size", "0"), ("train", "min_freq", "0"),
+                ("train", "max_vocab", "4")]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command,name,value", OUT_OF_RANGE)
+def test_out_of_range_number_exits_2(toy_files, capsys, command, name, value, via):
+    # A flag and a config-file line get the same range check, made while
+    # parsing: the checkpoint that finetune and eval name does not exist.
+    tmp, src, tgt = toy_files
+    flag = f"--{name.replace('_', '-')}"
+    args = [command, "--source", src, "--target", tgt, "--out", str(tmp / "o"),
+            "--checkpoint", str(tmp / "none.ckpt"), "--mode", "bleu",
+            "--depth", "1", "--dim", "16", "--heads", "2", "--emb-dim", "16"]
+    if via == "flag":
+        args += [flag, value]
+        expected = f"argument {flag}: must be"
+    else:
+        conf = tmp / "range.conf"
+        conf.write_text(f"{name} = {value}\n")
+        args += ["--config", str(conf)]
+        expected = f"range.conf:1: bad value for {name}: must be"
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and expected in err and "Traceback" not in err
+    assert not (tmp / "o").exists()
 
 
 def test_unknown_config_key_via_cli_exits_2(tmp_path, toy_files):

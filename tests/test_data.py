@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from _oracles import build_vocab_reference
+from _oracles import build_vocab_reference, make_identity_corpus
 
 from ce_nmt import data
 from ce_nmt.data import (
@@ -22,7 +22,7 @@ from ce_nmt.data import (
     tokenize,
 )
 from ce_nmt.errors import CorpusFormatError, EmbeddingFormatError
-from ce_nmt.synthetic import make_cipher_corpus, make_identity_corpus, write_parallel_files
+from ce_nmt.synthetic import make_cipher_corpus, write_parallel_files
 
 
 def make_corpus(pairs):
@@ -53,25 +53,25 @@ def test_build_vocab_empty_corpus_is_reserved_only():
 
 def test_build_vocab_min_freq():
     v = build_vocab([["a", "a", "b"]], min_freq=2)
-    assert v.non_reserved() == ["a"]
+    assert v.tokens()[len(data.RESERVED_TOKENS):] == ["a"]
     assert v.id("b") == UNK
 
 
 def test_build_vocab_tie_break_lexicographic():
     sentences = [["b", "a"]] * 3
     v = build_vocab(sentences, max_size=6)
-    assert v.non_reserved() == ["a", "b"]
+    assert v.tokens()[len(data.RESERVED_TOKENS):] == ["a", "b"]
 
 
 def test_build_vocab_truncates_to_max_size():
     sentences = [["a"] * 5, ["b"] * 4, ["c"] * 3]
     v = build_vocab(sentences, max_size=5)
-    assert v.non_reserved() == ["a"]
+    assert v.tokens()[len(data.RESERVED_TOKENS):] == ["a"]
 
 
 def test_build_vocab_skips_reserved_token_strings():
     v = build_vocab([["<unk>", "a", "<pad>"], ["<eos>", "<bos>", "<unk>", "a"]])
-    assert v.non_reserved() == ["a"]
+    assert v.tokens()[len(data.RESERVED_TOKENS):] == ["a"]
     assert v.tokens()[:4] == list(data.RESERVED_TOKENS)
 
 
@@ -287,6 +287,15 @@ def test_embeddings_malformed_row_reports_lineno(tmp_path):
         load_pretrained_embeddings(path, build_vocab([["a", "b"]]), 2)
 
 
+def test_embeddings_repeated_token_names_both_lines(tmp_path):
+    # Keeping either row would hide the other, and skew the std used for
+    # the rows the file lacks.
+    path = tmp_path / "emb.txt"
+    path.write_text("2 2\nfoo 1 2\nfoo 3 4\n")
+    with pytest.raises(EmbeddingFormatError, match=r"line 3: token 'foo' repeats the row of line 2"):
+        load_pretrained_embeddings(path, build_vocab([["foo"]]), 2)
+
+
 def test_embeddings_bad_encoding_reports_file_and_lineno(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_bytes(b"2 2\na 1 2\n\xffb 1 2\n")
@@ -335,7 +344,7 @@ def test_synthetic_token_streams_pinned():
         == "c9d83c70eaa81a43ef53458d8e515a093f53acb8982dc22f0f669f561a44606e"
 
 
-@pytest.mark.parametrize("make", [make_cipher_corpus, make_identity_corpus])
+@pytest.mark.parametrize("make", [make_cipher_corpus])
 @pytest.mark.parametrize("kwargs", [dict(vocab_size=0), dict(min_len=0),
                                     dict(min_len=5, max_len=4)])
 def test_synthetic_rejects_bad_sizes(make, kwargs):

@@ -129,11 +129,11 @@ def batch_of_lengths(rng, vocab, t, lengths):
 
 def encode_and_grads(encoder_fn, ids, mask, enc, cfg, pooling, weight, dropout_seed=None):
     """Latent values and every encoder gradient through a pooled loss."""
-    for p in enc.values():
-        p.zero_grad()
+    for p in enc.tensors.values():
+        p.grad = None
     rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
     latent = encoder_fn(ids, mask, enc, cfg, rng=rng)
-    tsum(M.pool(latent, pooling).values * weight).backward()
+    tsum(M.pool(latent, pooling) * weight).backward()
     return latent.values.values, {k: p.grad for k, p in enc.items()}
 
 
@@ -380,21 +380,21 @@ def latent_of(values, mask):
 
 def test_pool_constant_sequence():
     lat = latent_of([[[2.0, -1.0]] * 3], [[True, True, True]])
-    assert np.array_equal(M.pool(lat, "mean").values.values, [[2.0, -1.0]])
-    assert np.array_equal(M.pool(lat, "max").values.values, [[2.0, -1.0]])
+    assert np.array_equal(M.pool(lat, "mean").values, [[2.0, -1.0]])
+    assert np.array_equal(M.pool(lat, "max").values, [[2.0, -1.0]])
 
 
 def test_pool_mean_max_arithmetic():
     lat = latent_of([[[1.0, 3.0], [3.0, 1.0]]], [[True, True]])
-    assert np.array_equal(M.pool(lat, "mean").values.values, [[2.0, 2.0]])
-    assert np.array_equal(M.pool(lat, "max").values.values, [[3.0, 3.0]])
+    assert np.array_equal(M.pool(lat, "mean").values, [[2.0, 2.0]])
+    assert np.array_equal(M.pool(lat, "max").values, [[3.0, 3.0]])
 
 
 def test_pool_ignores_appended_pad():
     base = latent_of([[[1.0, 3.0], [3.0, 1.0]]], [[True, True]])
     padded = latent_of([[[1.0, 3.0], [3.0, 1.0], [50.0, 50.0]]], [[True, True, False]])
     for kind in ("mean", "max"):
-        assert np.array_equal(M.pool(base, kind).values.values, M.pool(padded, kind).values.values)
+        assert np.array_equal(M.pool(base, kind).values, M.pool(padded, kind).values)
 
 
 def test_pool_fully_masked_row_errors():
@@ -407,8 +407,7 @@ def test_pool_fully_masked_row_errors():
 
 def test_project_output_shape(setup):
     cfg, rng, _, _, proj = setup
-    sigma = M.SentenceEmbedding(N.Tensor(rng.normal(size=(5, cfg.dim))))
-    out = M.project(sigma, proj)
+    out = M.project(N.Tensor(rng.normal(size=(5, cfg.dim))), proj)
     assert out.shape == (5, cfg.proj_dim)
 
 
@@ -416,14 +415,14 @@ def test_project_zero_params_zero_output(setup):
     cfg, rng, _, _, _ = setup
     zero = M.ParamGroup({k: N.Tensor(np.zeros_like(v.values), requires_grad=True)
                          for k, v in M.init_projection_params(cfg, rng).items()})
-    sigma = M.SentenceEmbedding(N.Tensor(rng.normal(size=(4, cfg.dim))))
-    assert np.array_equal(M.project(sigma, zero).values, np.zeros((4, cfg.proj_dim)))
+    sentences = N.Tensor(rng.normal(size=(4, cfg.dim)))
+    assert np.array_equal(M.project(sentences, zero).values, np.zeros((4, cfg.proj_dim)))
 
 
 def test_project_matches_layer_by_layer_oracle(setup):
     cfg, rng, _, _, proj = setup
     x = rng.normal(size=(6, cfg.dim))
-    out = M.project(M.SentenceEmbedding(N.Tensor(x)), proj).values
+    out = M.project(N.Tensor(x), proj).values
 
     def bn(z, eps=1e-5):
         return (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + eps)
@@ -437,9 +436,8 @@ def test_project_matches_layer_by_layer_oracle(setup):
 
 def test_project_single_row_rejected(setup):
     cfg, rng, _, _, proj = setup
-    sigma = M.SentenceEmbedding(N.Tensor(rng.normal(size=(1, cfg.dim))))
     with pytest.raises(BatchTooSmallError):
-        M.project(sigma, proj)
+        M.project(N.Tensor(rng.normal(size=(1, cfg.dim))), proj)
 
 
 # -- randomized mask/causality sweep (smaller sibling of the acceptance suite) ---------------
