@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -94,8 +95,8 @@ _FALSE = {"false", "0", "no", "off"}
 # field -> (">=" or ">", bound): the values a numeric option accepts. The
 # options not named here are checked where their config object is built.
 _RANGES = {"seed": (">=", 0), "steps": (">=", 0), "finetune_steps": (">=", -1),
-           "lr": (">", 0), "batch_size": (">=", 1), "min_freq": (">=", 1),
-           "max_vocab": (">=", 5)}
+           "lr": (">", 0), "warmup": (">=", 1), "batch_size": (">=", 1),
+           "min_freq": (">=", 1), "max_vocab": (">=", 5)}
 
 
 def _convert(f: dataclasses.Field, text: str):
@@ -241,10 +242,6 @@ def _ce_config(cfg: RunConfig) -> TR.CEConfig:
                        pooling=cfg.pooling, proj_dim=cfg.proj_dim)
 
 
-def _record_time(cfg: RunConfig) -> bool:
-    return cfg.dtype() == np.float32
-
-
 def _load_checkpoint_arg(cfg: RunConfig, attr: str = "checkpoint") -> TR.Checkpoint:
     _require(cfg, attr)
     path = Path(getattr(cfg, attr))
@@ -260,9 +257,9 @@ def _check_vocab_size(vocab_path, vocab: Vocabulary, size: int, ckpt_path) -> No
                           f"{ckpt_path} was built for {size}")
 
 
-def _open_run(cfg: RunConfig, from_checkpoint: bool, save_vocabs: bool = True):
-    """(corpus, checkpoint or None, vocab_src, vocab_tgt, out): the corpus, then
-    ``--checkpoint`` and the vocabularies next to it or new ones, then ``--out``."""
+def _open_run(cfg: RunConfig, from_checkpoint: bool):
+    """(corpus, checkpoint or None, vocab_src, vocab_tgt): the corpus, then
+    ``--checkpoint`` and the vocabularies next to it or new ones."""
     corpus = _load_corpus(cfg)
     ckpt = None
     if from_checkpoint:
@@ -276,19 +273,24 @@ def _open_run(cfg: RunConfig, from_checkpoint: bool, save_vocabs: bool = True):
         _check_vocab_size(tgt, vocab_tgt, ckpt.config.tgt_vocab, cfg.checkpoint)
     else:
         vocab_src, vocab_tgt = _build_vocabs(cfg, corpus)
+    return corpus, ckpt, vocab_src, vocab_tgt
+
+
+def _save_vocabs(cfg: RunConfig, vocab_src: Vocabulary, vocab_tgt: Vocabulary) -> Path:
+    """Create ``--out`` and write both vocabularies into it."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    if save_vocabs:
-        vocab_src.save(out / "vocab.src.txt")
-        vocab_tgt.save(out / "vocab.tgt.txt")
-    return corpus, ckpt, vocab_src, vocab_tgt, out
+    vocab_src.save(out / "vocab.src.txt")
+    vocab_tgt.save(out / "vocab.tgt.txt")
+    return out
 
 
 # -- commands -----------------------------------------------------------------------
 
 
 def cmd_prepare(cfg: RunConfig) -> int:
-    corpus, _, vocab_src, vocab_tgt, out = _open_run(cfg, from_checkpoint=False)
+    corpus, _, vocab_src, vocab_tgt = _open_run(cfg, from_checkpoint=False)
+    out = _save_vocabs(cfg, vocab_src, vocab_tgt)
 
     def histogram(side):
         counts: dict[int, int] = {}
@@ -309,57 +311,23 @@ def cmd_prepare(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    corpus, _, vocab_src, vocab_tgt, out = _open_run(cfg, from_checkpoint=False)
-    metrics = TR.MetricsLog(out / "metrics.jsonl", record_time=_record_time(cfg))
-    ckpt = TR.train_translation(
-        _model_config(cfg, vocab_src, vocab_tgt), corpus, vocab_src, vocab_tgt,
-        cfg.seed, cfg.steps, batch_size=cfg.batch_size, lr=cfg.lr, warmup=cfg.warmup,
-        dtype=cfg.dtype(), metrics=metrics, out_dir=out,
-        embed_table=_embed_table(cfg, vocab_src),
-    )
-    path = TR.save_checkpoint(ckpt, out / f"pretrain-{ckpt.step}.ckpt")
-    print(f"saved {path}")
-    return EXIT_OK
-
-
-def cmd_ce(cfg: RunConfig) -> int:
-    corpus, start, vocab_src, vocab_tgt, out = _open_run(cfg, bool(cfg.checkpoint))
-    if start is None:
-        start = TR.fresh_ce_start(_model_config(cfg, vocab_src, vocab_tgt), cfg.seed,
-                                  cfg.dtype(), _embed_table(cfg, vocab_src))
-    metrics = TR.MetricsLog(out / "metrics.jsonl", record_time=_record_time(cfg))
-    ckpt = TR.context_enhance(start, corpus, vocab_src, _ce_config(cfg), cfg.seed,
-                              lr=cfg.lr, warmup=max(1, cfg.warmup // 4),
-                              metrics=metrics, out_dir=out)
-    path = TR.save_checkpoint(ckpt, out / f"ce-{ckpt.step}.ckpt")
-    print(f"saved {path}")
-    return EXIT_OK
-
-
-def cmd_finetune(cfg: RunConfig) -> int:
-    corpus, ce_ckpt, vocab_src, vocab_tgt, out = _open_run(cfg, from_checkpoint=True)
-    steps = cfg.finetune_steps if cfg.finetune_steps >= 0 else cfg.steps
-    metrics = TR.MetricsLog(out / "metrics.jsonl", record_time=_record_time(cfg))
-    ckpt = TR.finetune_translation(ce_ckpt, corpus, vocab_src, vocab_tgt, steps, cfg.seed,
-                                   batch_size=cfg.batch_size, lr=cfg.lr, warmup=cfg.warmup,
-                                   reuse_decoder=cfg.reuse_decoder, metrics=metrics,
-                                   out_dir=out)
-    path = TR.save_checkpoint(ckpt, out / f"finetune-{ckpt.step}.ckpt")
-    print(f"saved {path}")
-    return EXIT_OK
-
-
-def cmd_pipeline(cfg: RunConfig) -> int:
-    corpus, _, vocab_src, vocab_tgt, out = _open_run(cfg, from_checkpoint=False)
+def cmd_stages(cfg: RunConfig, stages: tuple[str, ...]) -> int:
+    """Run ``stages`` through ``training.run_pipeline``. A run that begins with
+    fine-tuning starts from ``--checkpoint``, and so does one that begins with
+    CE when it is given; ``--skip-pretrain`` acts only on the whole chain.
+    Every option is checked before ``--out`` is written."""
+    from_checkpoint = stages[0] == "finetune" or (stages[0] == "ce" and bool(cfg.checkpoint))
+    corpus, start, vocab_src, vocab_tgt = _open_run(cfg, from_checkpoint)
+    model_cfg = _model_config(cfg, vocab_src, vocab_tgt) if start is None else start.config
+    ce_cfg = _ce_config(cfg) if "ce" in stages else None
+    embed_table = _embed_table(cfg, vocab_src) if start is None else None
+    out = _save_vocabs(cfg, vocab_src, vocab_tgt)
     result = TR.run_pipeline(
-        _model_config(cfg, vocab_src, vocab_tgt), _ce_config(cfg), corpus,
-        vocab_src, vocab_tgt, cfg.seed, out,
-        steps=cfg.steps,
-        finetune_steps=cfg.finetune_steps if cfg.finetune_steps >= 0 else None,
+        model_cfg, ce_cfg, corpus, vocab_src, vocab_tgt, cfg.seed, out,
+        stages=stages, start=start, steps=cfg.steps, finetune_steps=cfg.finetune_steps,
         batch_size=cfg.batch_size, lr=cfg.lr, warmup=cfg.warmup,
-        skip_pretrain=cfg.skip_pretrain, reuse_decoder=cfg.reuse_decoder,
-        embed_table=_embed_table(cfg, vocab_src), dtype=cfg.dtype(),
+        skip_pretrain=cfg.skip_pretrain and stages == TR.STAGES,
+        reuse_decoder=cfg.reuse_decoder, embed_table=embed_table, dtype=cfg.dtype(),
     )
     for stage, path in result.paths.items():
         print(f"{stage}: {path}")
@@ -368,8 +336,9 @@ def cmd_pipeline(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     _require(cfg, "mode")
-    corpus, ckpt, vocab_src, vocab_tgt, out = _open_run(cfg, from_checkpoint=True,
-                                                        save_vocabs=False)
+    corpus, ckpt, vocab_src, vocab_tgt = _open_run(cfg, from_checkpoint=True)
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     if cfg.mode == "bleu":
         hyps = E.translate_corpus(ckpt, corpus, vocab_src, vocab_tgt,
@@ -416,14 +385,13 @@ def cmd_eval(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-COMMANDS = {
-    "prepare": cmd_prepare,
-    "train": cmd_train,
-    "ce": cmd_ce,
-    "finetune": cmd_finetune,
-    "pipeline": cmd_pipeline,
-    "eval": cmd_eval,
-}
+# stage command -> the consecutive stages of ``training.STAGES`` it runs
+STAGE_COMMANDS = {"train": TR.STAGES[:1], "ce": TR.STAGES[1:2], "finetune": TR.STAGES[2:],
+                  "pipeline": TR.STAGES}
+
+COMMANDS = {"prepare": cmd_prepare, "eval": cmd_eval,
+            **{name: functools.partial(cmd_stages, stages=stages)
+               for name, stages in STAGE_COMMANDS.items()}}
 
 
 def _configure_logging() -> None:

@@ -19,7 +19,11 @@ recorded (``wall_ms``) in float32 runs; 64-bit runs log ``wall_ms: null``.
 
 Seed layout (documented, fixed): parameter init uses ``seed``, epoch e of a
 stage shuffles with ``seed + 1000 + e``, dropout draws from ``seed + 7919``.
-The pipeline runs its stages with ``seed``, ``seed + 1``, ``seed + 2``.
+``run_pipeline`` runs every chain of stages, one stage or all three, and
+gives stage i of a run ``seed + i``: the full chain trains with ``seed``,
+``seed + 1``, ``seed + 2``, and a single stage with ``seed``. A skipped
+pretrain keeps its slot, so CE still gets ``seed + 1``. A fresh CE start
+(``fresh_ce_start``) is drawn with the run's ``seed``.
 """
 
 from __future__ import annotations
@@ -634,50 +638,57 @@ def finetune_translation(ce_ckpt: Checkpoint, corpus: ParallelCorpus, vocab_src:
 class PipelineResult:
     checkpoints: dict[str, Checkpoint]
     paths: dict[str, Path]
-    metrics_path: Path
 
 
-def run_pipeline(cfg: ModelConfig, ce_cfg: CEConfig, corpus: ParallelCorpus,
+def run_pipeline(cfg: ModelConfig, ce_cfg: CEConfig | None, corpus: ParallelCorpus,
                  vocab_src: Vocabulary, vocab_tgt: Vocabulary, seed: int, out_dir, *,
-                 steps: int = 1000, finetune_steps: int | None = None,
+                 stages: tuple[str, ...] = STAGES, start: Checkpoint | None = None,
+                 steps: int = 1000, finetune_steps: int = -1,
                  batch_size: int = 32, lr: float = 1e-3, warmup: int = 400,
                  skip_pretrain: bool = False, reuse_decoder: bool = False,
                  embed_table: np.ndarray | None = None,
                  dtype=np.float64) -> PipelineResult:
-    """Run pretrain -> ce -> finetune, persisting checkpoints and metrics.
+    """Run ``stages``, consecutive entries of ``STAGES``, saving each stage's
+    ``<stage>-<step>.ckpt`` and one metrics log, ``metrics.jsonl``, in ``out_dir``.
 
-    ``skip_pretrain`` starts CE directly from a fresh encoder (optionally
-    seeded with ``embed_table``), emitting only the ce and finetune
-    checkpoints. Stage errors propagate after earlier checkpoints are safely
-    on disk. Timing is on for float32 runs and off for float64 runs (the
-    reproducibility mode).
+    CE and fine-tuning start from the previous stage's checkpoint, or from
+    ``start`` when they run first. Pretrain, and CE with neither, start from a
+    fresh encoder drawn with ``seed`` (``embed_table`` seeds its embeddings);
+    fine-tuning needs a ce checkpoint. Stage i of the run trains with
+    ``seed + i``. ``skip_pretrain`` keeps pretrain's seed slot but trains
+    nothing in it. ``ce_cfg`` is read only when CE runs, and ``finetune_steps``
+    -1 fine-tunes for ``steps``. Stage errors propagate after earlier
+    checkpoints are safely on disk. Timing is on for float32 runs and off for
+    float64 runs (the reproducibility mode).
     """
+    n = len(STAGES)
+    if tuple(stages) not in [STAGES[i:j] for i in range(n) for j in range(i + 1, n + 1)]:
+        raise ConfigError(f"stages must be consecutive entries of {STAGES}, got {stages!r}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if finetune_steps is None:
-        finetune_steps = steps
     metrics = MetricsLog(out_dir / "metrics.jsonl",
                          record_time=np.dtype(dtype) == np.float32)
-    checkpoints: dict[str, Checkpoint] = {}
-    paths: dict[str, Path] = {}
-
-    if skip_pretrain:
-        start = fresh_ce_start(cfg, seed, dtype, embed_table)
-    else:
-        start = train_translation(cfg, corpus, vocab_src, vocab_tgt, seed, steps,
-                                  batch_size=batch_size, lr=lr, warmup=warmup, dtype=dtype,
-                                  metrics=metrics, out_dir=out_dir, embed_table=embed_table)
-        checkpoints["pretrain"] = start
-        paths["pretrain"] = save_checkpoint(start, out_dir / f"pretrain-{start.step}.ckpt")
-
-    ce_ckpt = context_enhance(start, corpus, vocab_src, ce_cfg, seed + 1, lr=lr,
-                              warmup=max(1, warmup // 4), metrics=metrics, out_dir=out_dir)
-    checkpoints["ce"] = ce_ckpt
-    paths["ce"] = save_checkpoint(ce_ckpt, out_dir / f"ce-{ce_ckpt.step}.ckpt")
-
-    ft_ckpt = finetune_translation(ce_ckpt, corpus, vocab_src, vocab_tgt, finetune_steps,
-                                   seed + 2, batch_size=batch_size, lr=lr, warmup=warmup,
-                                   reuse_decoder=reuse_decoder, metrics=metrics, out_dir=out_dir)
-    checkpoints["finetune"] = ft_ckpt
-    paths["finetune"] = save_checkpoint(ft_ckpt, out_dir / f"finetune-{ft_ckpt.step}.ckpt")
-    return PipelineResult(checkpoints, paths, metrics.path)
+    result = PipelineResult({}, {})
+    ckpt = start
+    for stage_seed, stage in enumerate(stages, start=seed):
+        if stage == "pretrain":
+            if skip_pretrain:
+                continue
+            ckpt = train_translation(cfg, corpus, vocab_src, vocab_tgt, stage_seed, steps,
+                                     batch_size=batch_size, lr=lr, warmup=warmup, dtype=dtype,
+                                     metrics=metrics, out_dir=out_dir, embed_table=embed_table)
+        elif stage == "ce":
+            if ckpt is None:
+                ckpt = fresh_ce_start(cfg, seed, dtype, embed_table)
+            ckpt = context_enhance(ckpt, corpus, vocab_src, ce_cfg, stage_seed, lr=lr,
+                                   warmup=max(1, warmup // 4), metrics=metrics, out_dir=out_dir)
+        else:
+            if ckpt is None:
+                raise ConfigError("fine-tuning needs a ce checkpoint to start from")
+            ckpt = finetune_translation(ckpt, corpus, vocab_src, vocab_tgt,
+                                        steps if finetune_steps < 0 else finetune_steps,
+                                        stage_seed, batch_size=batch_size, lr=lr, warmup=warmup,
+                                        reuse_decoder=reuse_decoder, metrics=metrics,
+                                        out_dir=out_dir)
+        result.checkpoints[stage] = ckpt
+        result.paths[stage] = save_checkpoint(ckpt, out_dir / f"{stage}-{ckpt.step}.ckpt")
+    return result

@@ -280,10 +280,10 @@ def test_criterion_10_determinism_and_persistence(toy, tmp_path):
     ce_cfg = TR.CEConfig(lam=5e-3, epochs=2, batch_size=8, proj_dim=4, pooling="mean")
     blobs = []
     for run in range(2):
-        result = TR.run_pipeline(cfg, ce_cfg, corpus, vj, vt, seed=42,
-                                 out_dir=tmp_path / f"run{run}", steps=4,
-                                 finetune_steps=3, batch_size=8, warmup=2)
-        blobs.append(result.metrics_path.read_bytes())
+        TR.run_pipeline(cfg, ce_cfg, corpus, vj, vt, seed=42,
+                        out_dir=tmp_path / f"run{run}", steps=4,
+                        finetune_steps=3, batch_size=8, warmup=2)
+        blobs.append((tmp_path / f"run{run}" / "metrics.jsonl").read_bytes())
     logs_identical = blobs[0] == blobs[1] and len(blobs[0]) > 0
 
     # (b) checkpoint round-trip reproduces probe-batch outputs exactly

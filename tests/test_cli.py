@@ -97,8 +97,10 @@ def test_cmd_ce_writes_one_metrics_line_per_epoch(toy_files):
 
 
 def test_cmd_ce_fresh_start_matches_library(toy_files):
-    # Without --checkpoint, `ce` starts where run_pipeline(skip_pretrain=True)
-    # starts: fresh_ce_start with the stage seed.
+    # Without --checkpoint, `ce` starts as run_pipeline(skip_pretrain=True)
+    # does: from fresh_ce_start drawn with `seed`. CE itself is the run's
+    # stage 0 and trains with `seed`; the pipeline's CE is stage 1 and
+    # trains with `seed + 1`.
     tmp, src, tgt = toy_files
     out = tmp / "ce_fresh"
     assert cli.main(["ce", "--source", src, "--target", tgt, "--out", str(out),
@@ -147,6 +149,27 @@ def test_train_then_ce_then_finetune_chain(toy_files):
     assert next(out.glob("finetune-*.ckpt"))
 
 
+def test_float32_chain_with_stage_seeds_gives_pipeline_checkpoints(toy_files):
+    # One stage runner: `train`, `ce` and `finetune` given the seeds the
+    # pipeline gives its stages write the pipeline's checkpoint bytes. At
+    # float32 nothing is lost between stages; float64 runs are stored as
+    # float32, so there the chain still differs (ROADMAP item 6).
+    tmp, src, tgt = toy_files
+    common = ["--source", src, "--target", tgt, "--precision", "float32", *SMALL_MODEL]
+    run = [("train", "pretrain-6.ckpt", ["--steps", "6"]),
+           ("ce", "ce-2.ckpt", ["--epochs", "2"]),
+           ("finetune", "finetune-4.ckpt", ["--finetune-steps", "4"])]
+    assert cli.main(["pipeline", "--out", str(tmp / "pipe"), "--steps", "6", "--epochs", "2",
+                     "--finetune-steps", "4", "--seed", "3", *common]) == 0
+    start = []
+    for seed, (command, name, args) in enumerate(run, start=3):
+        out = tmp / command
+        assert cli.main([command, "--out", str(out), "--seed", str(seed), *start, *args,
+                         *common]) == 0
+        assert (out / name).read_bytes() == (tmp / "pipe" / name).read_bytes(), command
+        start = ["--checkpoint", str(out / name)]
+
+
 # -- pipeline ---------------------------------------------------------------------------
 
 def test_pipeline_skip_pretrain_emits_two_checkpoints(toy_files):
@@ -159,8 +182,7 @@ def test_pipeline_skip_pretrain_emits_two_checkpoints(toy_files):
     assert len(list(out.glob("*.ckpt"))) == 2
 
 
-def test_pipeline_skip_pretrain_with_embedding_file(toy_files):
-    tmp, src, tgt = toy_files
+def _write_embeddings(tmp) -> Path:
     # cover every toy token ("s00".."s11" / "t00".."t11") with a 16-dim file
     rows = [f"s{i:02d}" for i in range(12)] + [f"t{i:02d}" for i in range(12)]
     lines = [f"{len(rows)} 16"]
@@ -169,6 +191,12 @@ def test_pipeline_skip_pretrain_with_embedding_file(toy_files):
         lines.append(f"{tok} {vec}")
     emb = tmp / "emb.txt"
     emb.write_text("\n".join(lines) + "\n")
+    return emb
+
+
+def test_pipeline_skip_pretrain_with_embedding_file(toy_files):
+    tmp, src, tgt = toy_files
+    emb = _write_embeddings(tmp)
     out = tmp / "pipe_emb"
     code = cli.main(["pipeline", "--source", src, "--target", tgt, "--out", str(out),
                      "--skip-pretrain", "--embeddings", str(emb), "--steps", "3",
@@ -242,6 +270,126 @@ def test_pipeline_outputs_match_pinned_sha256(tmp_path, precision):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in PINNED_PIPELINE_SHA256[precision]}
     assert got == PINNED_PIPELINE_SHA256[precision]
+
+
+# The stage commands, each with its own --out under one run directory:
+# (case, arguments besides the corpus, --out, --seed, --precision and the
+# model). {run} is the run directory and {emb} the embedding file.
+STAGE_RUNS = [
+    ("train", ["train", "--steps", "6"]),
+    ("train_emb", ["train", "--steps", "6", "--embeddings", "{emb}"]),
+    ("train_skip", ["train", "--steps", "6", "--skip-pretrain"]),   # ignored: still trains
+    ("ce_fresh", ["ce", "--epochs", "2"]),
+    ("ce_from_train", ["ce", "--epochs", "2", "--checkpoint", "{run}/train/pretrain-6.ckpt"]),
+    ("finetune", ["finetune", "--steps", "4", "--checkpoint", "{run}/ce_from_train/ce-2.ckpt"]),
+    ("finetune_reuse", ["finetune", "--finetune-steps", "3", "--reuse-decoder",
+                        "--checkpoint", "{run}/ce_from_train/ce-2.ckpt"]),
+    ("pipeline_skip", ["pipeline", "--skip-pretrain", "--steps", "4", "--finetune-steps", "3",
+                       "--epochs", "2"]),
+    ("pipeline_skip_emb", ["pipeline", "--skip-pretrain", "--embeddings", "{emb}",
+                           "--steps", "4", "--finetune-steps", "3", "--epochs", "2"]),
+]
+
+# Every case directory holds these two vocabularies and the files pinned below.
+STAGE_VOCAB_SHA256 = {
+    "vocab.src.txt": "4e0dce7b8c3b0abb1a250734c17cdd8ef7362fd6762ecf7bed08dcb877f2a0c0",
+    "vocab.tgt.txt": "3d6ae8fa7eeeb4fe228c8276c0deb41e788c4515eb6b25fd15ea3b3317eaac0d",
+}
+
+# sha256 of the files each stage command writes, taken before `train`, `ce`,
+# `finetune` and `pipeline` became one command over `run_pipeline`, with the
+# BLAS build of the pipeline pins above. The float32 metrics log carries wall
+# times, so at float32 only the checkpoints are pinned.
+PINNED_STAGE_SHA256 = {
+    "float64": {
+        "train": {
+            "metrics.jsonl": "f42baf7f309a8ccf28f66897fff67f30e6578716a66633756d2925ac0aff8df8",
+            "pretrain-6.ckpt": "7ed0a670088efd24b13229dc8cfa5c7d621de7f54430163ade32de1edc6986c8",
+        },
+        "train_emb": {
+            "metrics.jsonl": "22e81e0c893b14885f74d5e7b122ec2d12f01861c4c196dba79374077ef2a86e",
+            "pretrain-6.ckpt": "ba897d1be561f2f4eb653802afae7a5f048778288a68fa85a468a4591acecae8",
+        },
+        "train_skip": {
+            "metrics.jsonl": "f42baf7f309a8ccf28f66897fff67f30e6578716a66633756d2925ac0aff8df8",
+            "pretrain-6.ckpt": "7ed0a670088efd24b13229dc8cfa5c7d621de7f54430163ade32de1edc6986c8",
+        },
+        "ce_fresh": {
+            "ce-2.ckpt": "7bfe322e2075286fab55dde70adaa67e29cbfea4b017bc2a9e238ac2411c0ad8",
+            "metrics.jsonl": "11eed63556cbc9836c940cf3a32fee3902368f4dbe15c2e89c45420eb16eb690",
+        },
+        "ce_from_train": {
+            "ce-2.ckpt": "3b9a962f9f73676e8147dc7b2a820af7b76dec42dcabda5f10d17d53b71b3c56",
+            "metrics.jsonl": "b836a5a3ba32657a6b67b863eef6623a77256979530b9e91824b72361f7654a2",
+        },
+        "finetune": {
+            "finetune-4.ckpt": "32f6a8c7cb0ffa4c46dd10514653e2385f9e1398c184eb7864528f914c1d7bf6",
+            "metrics.jsonl": "642b5a2e7456967be4b48d4dd8b463a5b78f0f51aa1049e3130c42a13ca5114e",
+        },
+        "finetune_reuse": {
+            "finetune-3.ckpt": "16c152673eb1c4b8819e2b687f48a9436e5bd51574a3f279d160843c1b74b227",
+            "metrics.jsonl": "febbda8d9378cd9c0f88790f1d05811c5d7b196494182494f566cbb28ead265a",
+        },
+        "pipeline_skip": {
+            "ce-2.ckpt": "3beb5dc23337b16b6df28fd85d01fba9a9f8438518f6e2245c94c2a5847d5da4",
+            "finetune-3.ckpt": "349c7719897c20b182e8c3532e5178165d4f7e1eb83d3c4737a1964920dd47a5",
+            "metrics.jsonl": "0cec49abb90e7612769d80744256d394f8aff0bf97e68ac6a1fc106651a26958",
+        },
+        "pipeline_skip_emb": {
+            "ce-2.ckpt": "ab5379c919ffc7c3a3c146914b5d3469ae1b4e96a234fc53ed15fb8b22496d84",
+            "finetune-3.ckpt": "8570c44ea4670f0bc4a32d7759cba0e5581864c2b744f22a28e57f56d93cce76",
+            "metrics.jsonl": "37e45f227e9b3fcce6fe479dbf04f9a96e3d79a0e296ba7abf87749107372f7d",
+        },
+    },
+    "float32": {
+        "train": {
+            "pretrain-6.ckpt": "936c8ef59999b15b9f22a77457a957f2706b997491d0a242cdc7496e6a9aa929",
+        },
+        "train_emb": {
+            "pretrain-6.ckpt": "6ad181c43df47d76e9f187a63295671796ca161ff72ca07d77b8033f0dcb4eb7",
+        },
+        "train_skip": {
+            "pretrain-6.ckpt": "936c8ef59999b15b9f22a77457a957f2706b997491d0a242cdc7496e6a9aa929",
+        },
+        "ce_fresh": {
+            "ce-2.ckpt": "81d351a75d108bf37f1b7223f33f2027d7ae13ceeb846363fc7f398ac6ee1942",
+        },
+        "ce_from_train": {
+            "ce-2.ckpt": "906eafac9fea47d3d7d7ec3b8c728b645753a6ee3b0e8a0acaecbf15299e2b9c",
+        },
+        "finetune": {
+            "finetune-4.ckpt": "ff41da36c8770aefde54afc94678daedb3ed3e0db2c66649814c654dd2a1f335",
+        },
+        "finetune_reuse": {
+            "finetune-3.ckpt": "dfdf01265c882e11015ef342b9dc9c482c4103b4313780c362e967fdfb36dd31",
+        },
+        "pipeline_skip": {
+            "ce-2.ckpt": "86fa5ab5db538700f3db51b905c7956d40002c0003701a9815ce3ade00ebc06d",
+            "finetune-3.ckpt": "230e22df57f5950c883f79b8ec58dc4591e2dc5c3b8363dd2597524ae5c83ce5",
+        },
+        "pipeline_skip_emb": {
+            "ce-2.ckpt": "5fd6312ba23b0d965361c8cc3ba2d7ef4432b749039fbc2560e5b509e8ff7247",
+            "finetune-3.ckpt": "4de4c03a700e3d9f55a7ec2e7dd119b2dc705578a9139f0af59cbcb97fe185d0",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("precision", sorted(PINNED_STAGE_SHA256))
+def test_stage_command_outputs_match_pinned_sha256(toy_files, precision):
+    tmp, src, tgt = toy_files
+    emb, run = _write_embeddings(tmp), tmp / precision
+    got = {}
+    for case, args in STAGE_RUNS:
+        out = run / case
+        args = [a.format(run=run, emb=emb) for a in args]
+        assert cli.main([*args, "--source", src, "--target", tgt, "--out", str(out),
+                         "--seed", "3", "--precision", precision, *SMALL_MODEL]) == 0
+        got[case] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in sorted(out.iterdir())
+                     if precision == "float64" or p.name != "metrics.jsonl"}
+    assert got == {case: {**STAGE_VOCAB_SHA256, **pins}
+                   for case, pins in PINNED_STAGE_SHA256[precision].items()}
 
 
 # -- eval -------------------------------------------------------------------------------
@@ -475,6 +623,19 @@ def test_out_of_range_number_exits_2(toy_files, capsys, command, name, value, vi
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and expected in err and "Traceback" not in err
     assert not (tmp / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["--warmup", "--epochs", "--depth"])
+def test_rejected_option_writes_nothing_into_out(toy_files, capsys, flag):
+    # Every option is checked before the vocabularies or the metrics log go
+    # into --out.
+    tmp, src, tgt = toy_files
+    out = tmp / "o"
+    code = cli.main(["pipeline", "--source", src, "--target", tgt, "--out", str(out),
+                     *SMALL_MODEL, flag, "0"])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_key_via_cli_exits_2(tmp_path, toy_files):

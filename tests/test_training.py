@@ -520,7 +520,7 @@ def test_run_pipeline_stage_tags_and_metrics_count(tmp_path):
                              steps=4, finetune_steps=3, batch_size=8, warmup=2)
     assert [result.checkpoints[s].stage for s in ("pretrain", "ce", "finetune")] == \
         ["pretrain", "ce", "finetune"]
-    lines = result.metrics_path.read_text().splitlines()
+    lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 4 + 2 + 3
     for path in result.paths.values():
         assert path.exists()
@@ -534,7 +534,7 @@ def test_run_pipeline_skip_pretrain(tmp_path):
                              skip_pretrain=True)
     assert set(result.checkpoints) == {"ce", "finetune"}
     assert len(list(tmp_path.glob("*.ckpt"))) == 2
-    lines = result.metrics_path.read_text().splitlines()
+    lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 2 + 2
 
 
@@ -543,10 +543,10 @@ def test_run_pipeline_metrics_byte_identical_at_64_bit(tmp_path):
     ce_cfg = TR.CEConfig(lam=5e-3, epochs=1, batch_size=8, proj_dim=4)
     blobs = []
     for run in range(2):
-        result = TR.run_pipeline(cfg, ce_cfg, corpus, vs, vt, seed=11,
-                                 out_dir=tmp_path / str(run), steps=3, finetune_steps=2,
-                                 batch_size=8, warmup=2)
-        blobs.append(result.metrics_path.read_bytes())
+        TR.run_pipeline(cfg, ce_cfg, corpus, vs, vt, seed=11,
+                        out_dir=tmp_path / str(run), steps=3, finetune_steps=2,
+                        batch_size=8, warmup=2)
+        blobs.append((tmp_path / str(run) / "metrics.jsonl").read_bytes())
     assert blobs[0] == blobs[1]
     assert b'"wall_ms": null' in blobs[0]
 
@@ -558,10 +558,11 @@ def test_run_pipeline_float32_losses_reproducible(tmp_path):
     ce_cfg = TR.CEConfig(lam=5e-3, epochs=1, batch_size=8, proj_dim=4)
     runs = []
     for run in range(2):
-        result = TR.run_pipeline(cfg, ce_cfg, corpus, vs, vt, seed=13,
-                                 out_dir=tmp_path / str(run), steps=3, finetune_steps=2,
-                                 batch_size=8, warmup=2, dtype=np.float32)
-        lines = [json.loads(l) for l in result.metrics_path.read_text().splitlines()]
+        TR.run_pipeline(cfg, ce_cfg, corpus, vs, vt, seed=13,
+                        out_dir=tmp_path / str(run), steps=3, finetune_steps=2,
+                        batch_size=8, warmup=2, dtype=np.float32)
+        metrics = tmp_path / str(run) / "metrics.jsonl"
+        lines = [json.loads(l) for l in metrics.read_text().splitlines()]
         runs.append(lines)
     for a, b in zip(*runs):
         assert abs(a["loss"] - b["loss"]) < 1e-6
