@@ -86,7 +86,7 @@ def barlow_twins_loss(z_s: Tensor, z_t: Tensor, lam: float,
     edge where the redundancy term cannot influence gradients.
     """
     if lam < 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+        raise ValueError(f"lambda must be >= 0, got {lam}")
     loss, c, invariance, redundancy = N.barlow_twins(N.batch_norm_train(z_s),
                                                      N.batch_norm_train(z_t), lam, eps)
     return CELossBreakdown(

@@ -8,22 +8,22 @@ Stages:
   3. translation fine-tuning from the enhanced encoder, with the pooling /
      projection / batch-norm stack bypassed entirely.
 
-Each stage returns a ``Checkpoint`` of fresh parameters without gradients:
-it never writes into the checkpoint it starts from, and a training loop
-holds at most the last step's graph, which it drops once the next step's
-first encode has run.
+Every stage trains through one loop, ``_steps``: epoch e shuffles the corpus
+with ``seed + 1000 + e``, and each step drops the previous step's graph once
+its source-side encode has run. A stage returns a ``Checkpoint`` of fresh
+parameters without gradients and leaves the one it starts from as it was.
 
 Determinism contract: for a fixed seed and config, every stage produces a
 bit-identical metrics log at 64-bit precision. Timing is therefore only
 recorded (``wall_ms``) in float32 runs; 64-bit runs log ``wall_ms: null``.
 
-Seed layout (documented, fixed): parameter init uses ``seed``, epoch e of a
-stage shuffles with ``seed + 1000 + e``, dropout draws from ``seed + 7919``.
-``run_pipeline`` runs every chain of stages, one stage or all three, and
-gives stage i of a run ``seed + i``: the full chain trains with ``seed``,
-``seed + 1``, ``seed + 2``, and a single stage with ``seed``. A skipped
-pretrain keeps its slot, so CE still gets ``seed + 1``. A fresh CE start
-(``fresh_ce_start``) is drawn with the run's ``seed``.
+Seed layout (documented, fixed): parameter init uses ``seed``, dropout
+draws from ``seed + 7919``, and the loop shuffles as above. ``run_pipeline``
+runs every chain of stages, one stage or all three, and gives stage i of a
+run ``seed + i``: the full chain trains with ``seed``, ``seed + 1``,
+``seed + 2``, and a single stage with ``seed``. A skipped pretrain keeps its
+slot, so CE still gets ``seed + 1``. A fresh CE start (``fresh_ce_start``)
+is drawn with the run's ``seed``.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass, fields, replace
+from itertools import chain, count, islice
 from pathlib import Path
 
 import numpy as np
@@ -428,7 +429,7 @@ class CEConfig:
     def __post_init__(self):
         # lam = 0 is permitted as a diagnostic edge (redundancy term inert).
         if self.lam < 0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
+            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if not 1 <= self.epochs <= 1000:
             raise ConfigError(f"epochs must be in [1, 1000], got {self.epochs}")
         if self.batch_size < 2:
@@ -442,53 +443,67 @@ class CEConfig:
 # -- stage loops -------------------------------------------------------------------
 
 
-def _diverged(message: str, diag: Checkpoint, out_dir: Path | None,
-              name: str) -> DivergenceError:
-    """The error a stage raises on non-finite values, after saving ``diag``
-    as ``out_dir / name`` when there is an ``out_dir``."""
-    path = save_checkpoint(diag, out_dir / name) if out_dir is not None else None
-    return DivergenceError(message, checkpoint_path=path)
+def _epoch(ckpt: Checkpoint, corpus: ParallelCorpus, vocab_src: Vocabulary,
+           vocab_tgt: Vocabulary, batch_size: int, epoch: int):
+    """The batches of epoch ``epoch`` of the stage that trains ``ckpt``."""
+    return batch_iter(corpus, vocab_src, vocab_tgt, batch_size, max_len=ckpt.config.max_len,
+                      shuffle=True, seed=ckpt.seed + 1000 + epoch)
 
 
-def _translation_steps(cfg: ModelConfig, corpus: ParallelCorpus, vocab_src: Vocabulary,
-                       vocab_tgt: Vocabulary, enc: ParamGroup, dec: ParamGroup,
-                       seed: int, steps: int, batch_size: int, lr: float, warmup: int,
-                       stage: str, metrics: MetricsLog | None,
-                       out_dir: Path | None) -> int:
+def _steps(optimizer: AdamOptimizer, ckpt: Checkpoint, batches, loss_of, out_dir,
+           rng: np.random.Generator | None):
+    """The one training loop: an Adam step for each ``(at, batch)``, then
+    ``(at, record)`` yielded. ``loss_of(latent, batch)`` gives the step's loss
+    and a record of plain numbers and arrays (a Tensor kept by the caller would
+    hold the step's graph through the next one). A non-finite value saves
+    ``ckpt`` as ``diverged-<at>.ckpt``. Run to its end, it leaves no gradients."""
+    for at, batch in batches:
+        try:
+            latent = M.encode(batch.source_ids, batch.source_mask, ckpt.encoder, ckpt.config, rng=rng)
+            # The previous step's graph goes only now, so its arrays lie
+            # below live ones and the rest of the step and backward reuse
+            # them. Dropped at the end of a step instead, they would go back
+            # to the system and be faulted in again at the next step.
+            loss = None
+            loss, record = loss_of(latent, batch)
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+        except NumericError as exc:
+            path = None
+            if out_dir:
+                path = save_checkpoint(replace(ckpt, step=at), Path(out_dir) / f"diverged-{at}.ckpt")
+            unit = "epoch" if ckpt.stage == "ce" else "step"
+            raise DivergenceError(f"{ckpt.stage} diverged at {unit} {at}: {exc}",
+                                  checkpoint_path=path) from exc
+        yield at, record
+    optimizer.zero_grad()
+
+
+def _translate_steps(ckpt: Checkpoint, corpus: ParallelCorpus, vocab_src: Vocabulary,
+                     vocab_tgt: Vocabulary, batch_size: int, lr: float, warmup: int,
+                     metrics: MetricsLog | None, out_dir) -> None:
+    """Train ``ckpt``'s encoder and decoder in place for ``ckpt.step`` translation steps."""
+    if ckpt.step == 0:
+        return
     if len(corpus) == 0:
         raise ConfigError("cannot train on an empty corpus")
-    optimizer = AdamOptimizer(_flatten({"encoder": enc, "decoder": dec}), lr=lr, warmup=warmup)
-    dropout_rng = np.random.default_rng(seed + 7919) if cfg.dropout > 0 else None
-    step = 0
-    epoch = 0
-    while step < steps:
-        for batch in batch_iter(corpus, vocab_src, vocab_tgt, batch_size,
-                                max_len=cfg.max_len, shuffle=True, seed=seed + 1000 + epoch):
-            if step >= steps:
-                break
-            try:
-                latent = M.encode(batch.source_ids, batch.source_mask, enc, cfg, rng=dropout_rng)
-                # The previous step's graph goes only now, so its arrays lie
-                # below live ones and the decoder and backward reuse them.
-                # Dropped at the end of a step instead, they would go back to
-                # the system and be faulted in again at the next step.
-                logits = loss = None
-                logits = M.decode(latent, batch.target_ids[:, :-1], batch.target_mask[:, :-1],
-                                  dec, cfg, rng=dropout_rng)
-                loss = translation_loss(logits, batch.target_ids[:, 1:], batch.target_mask[:, 1:])
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-            except NumericError as exc:
-                raise _diverged(f"{stage} diverged at step {step}: {exc}",
-                                Checkpoint(cfg, stage, seed, step, enc, decoder=dec),
-                                out_dir, f"diverged-{step}.ckpt") from exc
-            step += 1
-            if metrics is not None:
-                metrics.write(stage, step, loss.item())
-        epoch += 1
-    optimizer.zero_grad()
-    return step
+    optimizer = AdamOptimizer(_flatten({"encoder": ckpt.encoder, "decoder": ckpt.decoder}),
+                              lr=lr, warmup=warmup)
+    rng = np.random.default_rng(ckpt.seed + 7919) if ckpt.config.dropout > 0 else None
+
+    def loss_of(latent, batch):
+        logits = M.decode(latent, batch.target_ids[:, :-1], batch.target_mask[:, :-1],
+                          ckpt.decoder, ckpt.config, rng=rng)
+        loss = translation_loss(logits, batch.target_ids[:, 1:], batch.target_mask[:, 1:])
+        return loss, loss.item()
+
+    epochs = chain.from_iterable(_epoch(ckpt, corpus, vocab_src, vocab_tgt, batch_size, epoch)
+                                 for epoch in count())
+    batches = enumerate(islice(epochs, ckpt.step))
+    for at, loss in _steps(optimizer, ckpt, batches, loss_of, out_dir, rng):
+        if metrics is not None:
+            metrics.write(ckpt.stage, at + 1, loss)
 
 
 def train_translation(cfg: ModelConfig, corpus: ParallelCorpus, vocab_src: Vocabulary,
@@ -505,12 +520,9 @@ def train_translation(cfg: ModelConfig, corpus: ParallelCorpus, vocab_src: Vocab
     rng = np.random.default_rng(seed)
     enc = M.init_encoder_params(cfg, rng, dtype=dtype, embed_table=embed_table)
     dec = M.init_decoder_params(cfg, rng, dtype=dtype)
-    step = 0
-    if steps > 0:
-        step = _translation_steps(cfg, corpus, vocab_src, vocab_tgt, enc, dec, seed,
-                                  steps, batch_size, lr, warmup, "pretrain", metrics,
-                                  Path(out_dir) if out_dir else None)
-    return Checkpoint(cfg, "pretrain", seed, step, enc, decoder=dec)
+    ckpt = Checkpoint(cfg, "pretrain", seed, steps, enc, decoder=dec)
+    _translate_steps(ckpt, corpus, vocab_src, vocab_tgt, batch_size, lr, warmup, metrics, out_dir)
+    return ckpt
 
 
 def fresh_ce_start(cfg: ModelConfig, seed: int, dtype=np.float64,
@@ -532,9 +544,9 @@ def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabu
     Both sides of every pair pass through the one shared encoder (ids under
     the encoder vocabulary), then pooling, projection, batch norm, and the
     loss. Only encoder and projection parameters are updated; any decoder in
-    ``start`` is carried through untouched. Batches smaller than 2 rows are
-    skipped (batch norm needs statistics). ``metrics`` gets one record per
-    epoch with the mean loss terms.
+    ``start`` is carried through untouched. Batch norm needs statistics, so
+    a corpus under 2 pairs is rejected and a batch under 2 rows is skipped.
+    ``metrics`` gets one record per epoch with the mean loss terms.
 
     The stage aborts with ``CollapseError`` once the monitor reports collapse
     for ``COLLAPSE_PATIENCE`` consecutive batches, and with ``DivergenceError``
@@ -544,59 +556,49 @@ def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabu
     """
     if start.encoder is None:
         raise ConfigError("context enhancement requires encoder parameters")
+    if len(corpus) < 2:
+        raise ConfigError(f"context enhancement needs at least 2 pairs, got {len(corpus)}")
     cfg = replace(start.config, proj_dim=ce_cfg.proj_dim, pooling=ce_cfg.pooling)
     enc = start.encoder.copy()
     dec = start.decoder.copy() if start.decoder is not None else None
     proj = M.init_projection_params(cfg, np.random.default_rng(seed),
                                     dtype=enc["embed"].dtype)
-    optimizer = AdamOptimizer(_flatten({"encoder": enc, "projection": proj}),
-                              lr=lr, warmup=warmup)
+    ckpt = Checkpoint(cfg, "ce", seed, ce_cfg.epochs, enc, decoder=dec, projection=proj)
+    optimizer = AdamOptimizer(_flatten({"encoder": enc, "projection": proj}), lr=lr, warmup=warmup)
     monitor = monitor or CollapseMonitor()
-    out_dir = Path(out_dir) if out_dir else None
-    collapsed_streak = 0
+    epoch_terms = []        # (total, invariance, redundancy) of this epoch's batches
 
-    for epoch in range(ce_cfg.epochs):
-        totals = np.zeros(3)
-        batches = 0
-        for batch in batch_iter(corpus, vocab_enc, vocab_enc, ce_cfg.batch_size,
-                                max_len=cfg.max_len, shuffle=True, seed=seed + 1000 + epoch):
-            if batch.size < 2:
-                continue
-            try:
-                lat_s = M.encode(batch.source_ids, batch.source_mask, enc, cfg)
-                # As in ``_translation_steps``: release the previous batch's
-                # graph once the new one's first encode holds its memory.
-                lat_t = sig_s = sig_t = z_s = z_t = breakdown = None
-                lat_t = M.encode(batch.target_ids, batch.target_mask, enc, cfg)
-                sig_s = M.pool(lat_s, ce_cfg.pooling)
-                sig_t = M.pool(lat_t, ce_cfg.pooling)
-                z_s = M.project(sig_s, proj)
-                z_t = M.project(sig_t, proj)
-                breakdown = barlow_twins_loss(z_s, z_t, lam=ce_cfg.lam)
-                optimizer.zero_grad()
-                breakdown.loss.backward()
-                optimizer.step()
-            except NumericError as exc:
-                raise _diverged(f"ce diverged in epoch {epoch}: {exc}",
-                                Checkpoint(cfg, "ce", seed, epoch, enc, decoder=dec,
-                                           projection=proj),
-                                out_dir, f"diverged-{epoch}.ckpt") from exc
-            totals += (breakdown.total, breakdown.invariance_term, breakdown.redundancy_term)
-            batches += 1
-            report = monitor.observe(np.vstack([sig_s.values, sig_t.values]))
-            collapsed_streak = collapsed_streak + 1 if report.status == "collapsed" else 0
-            if collapsed_streak >= COLLAPSE_PATIENCE:
-                if out_dir is not None:
-                    diag = Checkpoint(cfg, "ce", seed, epoch, enc, decoder=dec, projection=proj)
-                    save_checkpoint(diag, out_dir / f"collapsed-{epoch}.ckpt")
-                raise CollapseError(report)
-        if batches == 0:
-            raise ConfigError("context enhancement saw no usable batch (all smaller than 2)")
-        mean_total, mean_inv, mean_red = (totals / batches).tolist()
-        if metrics is not None:
-            metrics.write("ce", epoch, mean_total, mean_inv, mean_red, ce_cfg.lam)
-    optimizer.zero_grad()
-    return Checkpoint(cfg, "ce", seed, ce_cfg.epochs, enc, decoder=dec, projection=proj)
+    def batches():
+        for epoch in range(ce_cfg.epochs):
+            for batch in _epoch(ckpt, corpus, vocab_enc, vocab_enc, ce_cfg.batch_size, epoch):
+                if batch.size >= 2:
+                    yield epoch, batch
+            # The loop asks for the next batch only after the stage has seen
+            # this epoch's last record, so the epoch's record is complete.
+            if metrics is not None:
+                metrics.write("ce", epoch, *np.mean(epoch_terms, axis=0).tolist(), ce_cfg.lam)
+            epoch_terms.clear()
+
+    def loss_of(lat_s, batch):
+        lat_t = M.encode(batch.target_ids, batch.target_mask, enc, cfg)
+        sig_s = M.pool(lat_s, ce_cfg.pooling)
+        sig_t = M.pool(lat_t, ce_cfg.pooling)
+        z_s = M.project(sig_s, proj)
+        z_t = M.project(sig_t, proj)
+        breakdown = barlow_twins_loss(z_s, z_t, lam=ce_cfg.lam)
+        terms = (breakdown.total, breakdown.invariance_term, breakdown.redundancy_term)
+        return breakdown.loss, (terms, sig_s.values, sig_t.values)
+
+    collapsed_streak = 0
+    for epoch, (terms, sig_s, sig_t) in _steps(optimizer, ckpt, batches(), loss_of, out_dir, None):
+        epoch_terms.append(terms)
+        report = monitor.observe(np.vstack([sig_s, sig_t]))
+        collapsed_streak = collapsed_streak + 1 if report.status == "collapsed" else 0
+        if collapsed_streak >= COLLAPSE_PATIENCE:
+            if out_dir:
+                save_checkpoint(replace(ckpt, step=epoch), Path(out_dir) / f"collapsed-{epoch}.ckpt")
+            raise CollapseError(report)
+    return ckpt
 
 
 def finetune_translation(ce_ckpt: Checkpoint, corpus: ParallelCorpus, vocab_src: Vocabulary,
@@ -622,13 +624,10 @@ def finetune_translation(ce_ckpt: Checkpoint, corpus: ParallelCorpus, vocab_src:
         dec = ce_ckpt.decoder.copy()
     else:
         dec = M.init_decoder_params(cfg, np.random.default_rng(seed), dtype=enc["embed"].dtype)
-    step = 0
-    if steps > 0:
-        step = _translation_steps(cfg, corpus, vocab_src, vocab_tgt, enc, dec, seed,
-                                  steps, batch_size, lr, warmup, "finetune", metrics,
-                                  Path(out_dir) if out_dir else None)
-    proj = ce_ckpt.projection.copy() if ce_ckpt.projection is not None else None
-    return Checkpoint(cfg, "finetune", seed, step, enc, decoder=dec, projection=proj)
+    ckpt = Checkpoint(cfg, "finetune", seed, steps, enc, decoder=dec,
+                      projection=ce_ckpt.projection.copy())
+    _translate_steps(ckpt, corpus, vocab_src, vocab_tgt, batch_size, lr, warmup, metrics, out_dir)
+    return ckpt
 
 
 # -- pipeline -------------------------------------------------------------------------

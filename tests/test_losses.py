@@ -7,7 +7,8 @@ import pytest
 from ce_nmt import losses as L
 from ce_nmt import model as M
 from ce_nmt import numerics as N
-from ce_nmt.errors import DegenerateInputError, NumericError, ShapeError
+from ce_nmt.errors import ConfigError, DegenerateInputError, NumericError, ShapeError
+from ce_nmt.training import CEConfig
 
 from _oracles import barlow_oracle, cross_correlation_oracle, nll_oracle
 from test_numerics import _tape
@@ -209,8 +210,10 @@ def test_barlow_gradient_wrt_projections():
 
 
 def test_barlow_rejects_negative_lambda():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=">= 0"):
         L.barlow_twins_loss(T(HADAMARD), T(HADAMARD), lam=-0.1)
+    with pytest.raises(ConfigError, match=">= 0"):
+        CEConfig(lam=-0.1)
 
 
 def test_full_ce_pipeline_gradient():

@@ -132,6 +132,12 @@ def test_nan_gradient_raises_divergence_with_checkpoint(tmp_path, nan_in_one_gra
     diag = TR.load_checkpoint(exc_info.value.checkpoint_path)
     assert exc_info.value.checkpoint_path == tmp_path / "ce" / "diverged-0.ckpt"
     assert diag.stage == "ce" and diag.decoder is not None and diag.projection is not None
+    with pytest.raises(DivergenceError) as exc_info:
+        TR.finetune_translation(TR.fresh_ce_start(cfg, seed=5), corpus, vs, vt, steps=3, seed=7,
+                                batch_size=8, warmup=2, out_dir=tmp_path / "ft")
+    diag = TR.load_checkpoint(exc_info.value.checkpoint_path)
+    assert exc_info.value.checkpoint_path == tmp_path / "ft" / "diverged-0.ckpt"
+    assert diag.stage == "finetune" and diag.projection is not None
 
 
 # -- stage 1 --------------------------------------------------------------------
@@ -259,6 +265,16 @@ def test_context_enhance_divergence_detected(tmp_path):
     diag = TR.load_checkpoint(path)
     assert diag.stage == "ce"
     assert diag.decoder is not None and diag.projection is not None
+
+
+def test_context_enhance_rejects_corpus_under_two_pairs(tmp_path):
+    cfg, corpus, vs, vt = tiny_setup()
+    start = TR.train_translation(cfg, corpus, vs, vt, seed=5, steps=0)
+    ce_cfg = TR.CEConfig(lam=5e-3, epochs=1, batch_size=8, proj_dim=4)
+    one_pair = make_cipher_corpus(1, vocab_size=10, min_len=2, max_len=4, seed=3)
+    with pytest.raises(ConfigError, match="at least 2 pairs"):
+        TR.context_enhance(start, one_pair, vs, ce_cfg, seed=6, out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_context_enhance_improves_alignment(tmp_path):
