@@ -19,6 +19,9 @@ path must reproduce bit for bit:
   included, that the packed ``model.encode`` replaces.
 - ``build_vocab_reference`` is the per-sentence counting loop that the
   one-pass ``data.build_vocab`` replaces.
+- ``make_cipher_corpus_reference`` is the per-pair ``Generator.integers``
+  loop whose corpus the block sampler of ``synthetic.make_cipher_corpus``
+  reproduces.
 
 Two helpers that only tests need also live here: ``make_identity_corpus``,
 the seeded copy-task corpus (target equals source), and ``params_equal``,
@@ -303,6 +306,22 @@ def build_vocab_reference(sentences, min_freq: int = 1, max_size: int = 50_000) 
         key=lambda tok: (-counts[tok], tok),
     )
     return Vocabulary(kept[: max_size - len(RESERVED_TOKENS)])
+
+
+def make_cipher_corpus_reference(n_pairs, vocab_size=50, min_len=3, max_len=10, seed=0,
+                                 cipher_seed=12345):
+    """``synthetic.make_cipher_corpus`` as two ``Generator.integers`` calls a pair."""
+    rng = np.random.default_rng(seed)
+    cipher = np.random.default_rng(cipher_seed).permutation(vocab_size)
+    source_words = [f"s{w:02d}" for w in range(vocab_size)]
+    target_words = [f"t{c:02d}" for c in cipher.tolist()]
+    pairs = []
+    for _ in range(n_pairs):
+        length = int(rng.integers(min_len, max_len + 1))
+        word_ids = rng.integers(0, vocab_size, size=length).tolist()
+        pairs.append(SentencePair(tuple(map(source_words.__getitem__, word_ids)),
+                                  tuple(map(target_words.__getitem__, word_ids))))
+    return ParallelCorpus(pairs)
 
 
 def make_identity_corpus(n_pairs, vocab_size=30, min_len=2, max_len=8, seed=0):

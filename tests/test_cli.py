@@ -689,3 +689,11 @@ def test_synthetic_rejects_counts_below_one(tmp_path, flag, value):
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: {flag} must be >= 1, got {value}"]
     assert not out.exists()
+
+
+def test_synthetic_rejects_negative_seed(tmp_path):
+    out = tmp_path / "c"
+    proc = _run_module("ce_nmt.synthetic", str(out), "--seed", "-1")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: --seed must be >= 0, got -1"]
+    assert not out.exists()

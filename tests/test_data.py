@@ -2,9 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
-from _oracles import build_vocab_reference, make_identity_corpus
+from _oracles import build_vocab_reference, make_cipher_corpus_reference, make_identity_corpus
 
-from ce_nmt import data
+from ce_nmt import data, synthetic
 from ce_nmt.data import (
     BOS,
     EOS,
@@ -342,15 +342,79 @@ def test_synthetic_token_streams_pinned():
         == "fed1c018ef94fd7b2dc6a329eae887edee44e981231d8dc1594a66be87e2be93"
     assert _token_stream_sha256(make_identity_corpus(300, seed=3)) \
         == "c9d83c70eaa81a43ef53458d8e515a093f53acb8982dc22f0f669f561a44606e"
+    # The acceptance toy's and the bench fixture's training and held-out sets.
+    assert _token_stream_sha256(make_cipher_corpus(2000, seed=100)) \
+        == "793c6ead0f52592b24142f96a2ad1b99ddaf0476085d7c0ccf39481b2cce1192"
+    assert _token_stream_sha256(make_cipher_corpus(200, seed=101)) \
+        == "67c4ae164e8126d666194b951ba417d38e5194a5769909494a8c5d19b1dc9779"
 
 
 @pytest.mark.parametrize("make", [make_cipher_corpus])
 @pytest.mark.parametrize("kwargs", [dict(vocab_size=0), dict(min_len=0),
-                                    dict(min_len=5, max_len=4)])
+                                    dict(min_len=5, max_len=4), dict(n_pairs=-3),
+                                    dict(seed=-1), dict(vocab_size=2**32),
+                                    dict(min_len=1, max_len=2**32)])
 def test_synthetic_rejects_bad_sizes(make, kwargs):
     # Zero pairs: the sizes are checked up front, not left to the first draw.
-    with pytest.raises(ValueError):
-        make(0, **kwargs)
+    # The message names the first argument given.
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        make(**{"n_pairs": 0, **kwargs})
+
+
+CIPHER = dict(vocab_size=50, min_len=3, max_len=10, cipher_seed=12345)   # the bench's
+
+
+def _pairs(corpus):
+    return [(p.source, p.target) for p in corpus]
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("n_pairs", [0, 1, 7, 512, 2000])
+def test_cipher_corpus_matches_per_pair_draws(seed, n_pairs):
+    assert _pairs(make_cipher_corpus(n_pairs, seed=seed, **CIPHER)) \
+        == _pairs(make_cipher_corpus_reference(n_pairs, seed=seed, **CIPHER))
+
+
+def test_cipher_corpus_fixed_length_draws_no_length():
+    # A one-value length range takes nothing from the stream; drawing a length
+    # anyway would shift every word.
+    kwargs = dict(vocab_size=50, min_len=4, max_len=4, seed=3)
+    assert _pairs(make_cipher_corpus(40, **kwargs)) \
+        == _pairs(make_cipher_corpus_reference(40, **kwargs))
+
+
+def _rejected_draws(corpus, seed, min_len, max_len, vocab_size) -> int:
+    """Raw 32-bit draws that per-pair ``Generator.integers`` calls threw away
+    making ``corpus``: the stream they consumed less the values they kept."""
+    rng = np.random.default_rng(seed)
+    for pair in corpus:
+        rng.integers(min_len, max_len + 1)
+        rng.integers(0, vocab_size, size=len(pair.source))
+    kept = sum(1 + len(p.source) for p in corpus)
+    for rejected in range(10):
+        raw = np.random.default_rng(seed)
+        raw.integers(0, 2**32, size=kept + rejected, dtype=np.uint64)
+        if raw.bit_generator.state == rng.bit_generator.state:
+            return rejected
+    raise AssertionError("the stream does not match kept plus fewer than 10 rejected draws")
+
+
+@pytest.mark.parametrize("block", [None, 1, 2, 7])
+def test_cipher_corpus_rejected_draw(monkeypatch, block):
+    # At vocab 400009 a draw is rejected with chance about 1.6e-5; seed 35's
+    # 300 pairs hold one. Tiny blocks put it and every sentence across refills.
+    if block is not None:
+        monkeypatch.setattr(synthetic, "BLOCK", block)
+    kwargs = dict(vocab_size=400_009, min_len=3, max_len=10, seed=35)
+    corpus = make_cipher_corpus(300, **kwargs)
+    assert _pairs(corpus) == _pairs(make_cipher_corpus_reference(300, **kwargs))
+    assert _rejected_draws(corpus, **kwargs) == 1
+
+
+def test_cipher_corpus_crosses_block_refills():
+    corpus = make_cipher_corpus(1500, seed=9, **CIPHER)
+    assert sum(1 + len(p.source) for p in corpus) > 2 * synthetic.BLOCK
+    assert _pairs(corpus) == _pairs(make_cipher_corpus_reference(1500, seed=9, **CIPHER))
 
 
 def test_write_parallel_files_rejects_empty_corpus(tmp_path):
