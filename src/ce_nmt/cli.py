@@ -316,6 +316,9 @@ def cmd_stages(cfg: RunConfig, stages: tuple[str, ...]) -> int:
     fine-tuning starts from ``--checkpoint``, and so does one that begins with
     CE when it is given; ``--skip-pretrain`` acts only on the whole chain.
     Every option is checked before ``--out`` is written."""
+    if stages[0] == "pretrain" and cfg.checkpoint:
+        raise ConfigError("--checkpoint is not read by a run that begins with pretraining "
+                          "(train, pipeline): it trains a fresh model")
     from_checkpoint = stages[0] == "finetune" or (stages[0] == "ce" and bool(cfg.checkpoint))
     corpus, start, vocab_src, vocab_tgt = _open_run(cfg, from_checkpoint)
     model_cfg = _model_config(cfg, vocab_src, vocab_tgt) if start is None else start.config

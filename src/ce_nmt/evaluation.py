@@ -26,7 +26,7 @@ from .data import BOS, EOS, PAD, ParallelCorpus, Vocabulary, batch_iter, source_
     subtract_centroid
 from .errors import ConfigError, ProtocolError
 from .losses import cross_correlation
-from .numerics import no_grad
+from .numerics import Tensor, no_grad
 
 MIN_SAMPLES_PER_LANGUAGE = 10
 SOURCE_LANG, TARGET_LANG = "src", "tgt"    # probe labels of a corpus's two sides
@@ -228,28 +228,47 @@ def bleu(hypotheses, references) -> float:
 def greedy_decode(encoder, decoder, cfg: M.ModelConfig, src_ids: np.ndarray,
                   src_mask: np.ndarray) -> list[list[int]]:
     """Greedy decoding of up to ``cfg.max_len`` positions, BOS included;
-    returns per-row token ids between BOS and EOS.
+    returns per-row token ids between BOS and EOS, in the caller's row order.
 
     Each step feeds only the newest token to the decoder. One
     ``model.DecodeCache`` serves the batch: the first step splits the
     cross-attention keys and values of the source into heads, and every
     step writes its token's self-attention keys and values into buffers
     sized to ``cfg.max_len``, so a step does only the newest token's work.
+
+    The source is encoded in the caller's order, then the latent rows are
+    ordered by source length, longest first (ties keep their order). Each
+    step decodes only the running prefix: the rows up to the last one that
+    has not emitted EOS. When that prefix shrinks, the latent and the cache
+    narrow to it as views (``DecodeCache.narrow``), with no copy. A row
+    that stops inside the prefix stays and is fed PAD, as in a full-batch
+    loop, so every row's output is the one a full batch gives; the saving
+    is largest when output length follows source length.
     """
     latent = M.encode(src_ids, src_mask, encoder, cfg)
-    B = src_ids.shape[0]
+    order = np.argsort(-np.count_nonzero(latent.mask, axis=1), kind="stable")
+    latent = M.LatentSequence(Tensor(latent.values.values[order]), latent.mask[order])
+    n = len(order)
     cache = M.DecodeCache()
-    ys = np.full((B, 1), BOS, dtype=np.int64)
-    done = np.zeros(B, dtype=bool)
-    while ys.shape[1] < cfg.max_len and not done.all():
-        newest = ys[:, -1:]
+    ys = np.full((n, cfg.max_len), PAD, dtype=np.int64)
+    ys[:, 0] = BOS
+    done = np.zeros(n, dtype=bool)
+    for t in range(1, cfg.max_len):
+        newest = ys[:n, t - 1:t]
         logits = M.decode(latent, newest, newest != PAD, decoder, cfg, cache=cache)
-        next_ids = logits.values[:, -1, :].argmax(axis=-1).astype(np.int64)
-        next_ids[done] = PAD
-        done |= next_ids == EOS
-        ys = np.concatenate([ys, next_ids[:, None]], axis=1)
+        next_ids = logits.values[:, -1, :].argmax(axis=-1)
+        next_ids[done[:n]] = PAD
+        done[:n] |= next_ids == EOS
+        ys[:n, t] = next_ids
+        running = np.flatnonzero(~done[:n])
+        if not running.size:
+            break
+        if running[-1] < n - 1:
+            n = running[-1] + 1
+            cache.narrow(n)
+            latent = M.LatentSequence(Tensor(latent.values.values[:n]), latent.mask[:n])
     outputs = []
-    for row in ys:
+    for row in ys[np.argsort(order)]:
         tokens: list[int] = []
         for idx in row[1:]:
             if idx in (EOS, PAD):

@@ -213,6 +213,9 @@ class DecodeCache:
     Keys are stored transposed, so both are in the layouts the attention
     products read (``numerics.attend_cached``). Cached decoding runs under
     ``numerics.no_grad()``, so no gradient can flow through the cache.
+
+    The head-major rows of batch row b are b·heads to b·heads + heads - 1,
+    so ``narrow`` can drop the last rows of a batch without copying.
     """
 
     length: int = 0
@@ -220,6 +223,18 @@ class DecodeCache:
     positions: np.ndarray | None = None
     self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     cross_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+
+    def narrow(self, n: int) -> None:
+        """Keep the first ``n`` batch rows: the key mask and every self- and
+        cross-attention buffer become views of their first ``n`` (``n·heads``)
+        rows. A first-axis slice of a C-contiguous array is contiguous, so
+        nothing is copied, later calls write into the same buffers, and the
+        attention products read the same layouts. Later ``decode`` calls
+        must pass a batch of ``n`` rows."""
+        heads = self.self_kv[0][0].shape[0] // self.key_mask.shape[0]
+        self.key_mask = self.key_mask[:n]
+        self.self_kv = [(k[:n * heads], v[:n * heads]) for k, v in self.self_kv]
+        self.cross_kv = [(k[:n * heads], v[:n * heads]) for k, v in self.cross_kv]
 
 
 # -- building blocks ---------------------------------------------------------------

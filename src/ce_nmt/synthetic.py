@@ -138,6 +138,9 @@ def main(argv=None) -> int:
         if value < least:
             print(f"error: {flag} must be >= {least}, got {value}", file=sys.stderr)
             return 2  # the input-error exit code of ce-nmt
+    if args.vocab_size >= 2**32:    # the range limit of make_cipher_corpus's draws
+        print(f"error: --vocab-size must be < 2**32, got {args.vocab_size}", file=sys.stderr)
+        return 2
     args.out_dir.mkdir(parents=True, exist_ok=True)
     train = make_cipher_corpus(args.pairs, vocab_size=args.vocab_size, seed=args.seed)
     test = make_cipher_corpus(args.test_pairs, vocab_size=args.vocab_size, seed=args.seed + 1)

@@ -123,6 +123,17 @@ def test_cmd_finetune_missing_checkpoint_exits_2(toy_files):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_checkpoint_given_to_a_fresh_start_exits_2(toy_files, capsys, command):
+    tmp, src, tgt = toy_files
+    code = cli.main([command, "--source", src, "--target", tgt, *SMALL_MODEL,
+                     "--steps", "1", "--epochs", "1", "--checkpoint", str(tmp / "nope.ckpt"),
+                     "--out", str(tmp / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --checkpoint is not read by")
+    assert not (tmp / "o").exists()
+
+
 def test_cmd_ce_divergence_exits_4_with_checkpoint(toy_files):
     tmp, src, tgt = toy_files
     out = tmp / "ce_div"
@@ -696,4 +707,12 @@ def test_synthetic_rejects_negative_seed(tmp_path):
     proc = _run_module("ce_nmt.synthetic", str(out), "--seed", "-1")
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == ["error: --seed must be >= 0, got -1"]
+    assert not out.exists()
+
+
+def test_synthetic_rejects_vocab_size_past_draw_range(tmp_path):
+    out = tmp_path / "c"
+    proc = _run_module("ce_nmt.synthetic", str(out), "--vocab-size", str(2**32))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: --vocab-size must be < 2**32, got 4294967296"]
     assert not out.exists()

@@ -1,5 +1,6 @@
 import collections
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from ce_nmt import evaluation as E
 from ce_nmt import model as M
 from ce_nmt import numerics as N
 from ce_nmt import training as TR
-from ce_nmt.data import BOS, EOS, PAD, build_vocab, source_batches
+from ce_nmt.data import BOS, EOS, PAD, Vocabulary, build_vocab, source_batches
 from ce_nmt.errors import ProtocolError
 from ce_nmt.synthetic import make_cipher_corpus
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
 
 
 def blobs(n_per_class=100, sep=8.0, h=6, seed=0):
@@ -219,32 +222,6 @@ def test_greedy_decode_matches_reference_on_trained_toy(trained_toy):
         assert E.greedy_decode(*args) == greedy_decode_reference(*args)
 
 
-def test_greedy_decode_matches_reference_on_random_models():
-    lengths_seen = set()
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-        heads = [1, 2, 4][seed % 3]
-        cfg = M.ModelConfig(src_vocab=12, tgt_vocab=9, depth=1 + seed % 2, dim=4 * heads,
-                            heads=heads, ff_dim=16, emb_dim=6, max_len=9)
-        enc = M.init_encoder_params(cfg, rng)
-        dec = M.init_decoder_params(cfg, rng)
-        # Sharper outputs and a stronger pull from the source make rows of one
-        # batch stop at different steps.
-        for i in range(cfg.depth):
-            dec[f"layer{i}.cross.wo"].values *= 6.0
-        dec["out_w"].values *= 6.0
-        src_ids = np.full((16, 6), PAD, dtype=np.int64)
-        for b, length in enumerate(rng.integers(2, 7, size=16)):
-            src_ids[b, 0], src_ids[b, length - 1] = BOS, EOS
-            src_ids[b, 1:length - 1] = rng.integers(4, 12, size=length - 2)
-        args = (enc, dec, cfg, src_ids, src_ids != PAD)
-        got = E.greedy_decode(*args)
-        assert got == greedy_decode_reference(*args), f"seed {seed}"
-        lengths_seen.update(len(row) for row in got)
-    # EOS at the first step, at later steps, and rows cut off at max_len
-    assert {0, cfg.max_len - 1} < lengths_seen and len(lengths_seen) >= 4
-
-
 def _random_decode_setup(seed, dtype=np.float64):
     """A tiny random model whose rows stop at different steps, and a source batch."""
     rng = np.random.default_rng(seed)
@@ -253,6 +230,8 @@ def _random_decode_setup(seed, dtype=np.float64):
                         heads=heads, ff_dim=16, emb_dim=6, max_len=9)
     enc = M.init_encoder_params(cfg, rng, dtype)
     dec = M.init_decoder_params(cfg, rng, dtype)
+    # Sharper outputs and a stronger pull from the source make rows of one
+    # batch stop at different steps.
     for i in range(cfg.depth):
         dec[f"layer{i}.cross.wo"].values *= 6.0
     dec["out_w"].values *= 6.0
@@ -263,11 +242,57 @@ def _random_decode_setup(seed, dtype=np.float64):
     return cfg, enc, dec, src_ids
 
 
+def _decode_cases(dtype):
+    """``greedy_decode`` arguments on random models: whole batches, one-row
+    batches, and models biased so that every row emits EOS at the first
+    step, or none emits it before ``max_len``."""
+    for seed in range(8):
+        cfg, enc, dec, src_ids = _random_decode_setup(seed, dtype)
+        yield f"seed {seed}", (enc, dec, cfg, src_ids, src_ids != PAD)
+        one = src_ids[seed:seed + 1]
+        yield f"seed {seed}, one row", (enc, dec, cfg, one, one != PAD)
+    for name, bias in (("EOS first", 1e3), ("no EOS", -1e3)):
+        cfg, enc, dec, src_ids = _random_decode_setup(0, dtype)
+        dec["out_b"].values[EOS] += bias
+        yield name, (enc, dec, cfg, src_ids, src_ids != PAD)
+
+
+def _prefix_events(src_mask, rows, max_len):
+    """How the running prefix moves on one decoded batch."""
+    lengths = np.count_nonzero(src_mask, axis=1)
+    longest = int(np.argmax(lengths))
+    events = set()
+    if len(rows) == 1:
+        events.add("one row")
+    if all(not row for row in rows):
+        events.add("every row stops at the first step")
+    if any(len(row) == max_len - 1 for row in rows):
+        events.add("a row runs to max_len")
+    # The longest source's row leads the length order; when it stops
+    # before another row, the prefix cannot shrink yet.
+    if len(rows[longest]) < max(len(row) for row in rows):
+        events.add("the longest source stops first")
+    return events
+
+
+def test_greedy_decode_matches_reference_on_random_models():
+    lengths_seen, events = set(), set()
+    for name, args in _decode_cases(np.float64):
+        got = E.greedy_decode(*args)
+        assert got == greedy_decode_reference(*args), name
+        lengths_seen.update(len(row) for row in got)
+        events |= _prefix_events(args[4], got, args[2].max_len)
+    # EOS at the first step, at later steps, and rows cut off at max_len 9
+    assert {0, 8} < lengths_seen and len(lengths_seen) >= 4
+    assert events == {"one row", "every row stops at the first step",
+                      "a row runs to max_len", "the longest source stops first"}
+
+
 def test_greedy_decode_float32_matches_reference_and_stays_float32():
+    for name, args in _decode_cases(np.float32):
+        assert E.greedy_decode(*args) == greedy_decode_reference(*args), name
     for seed in range(6):
         cfg, enc, dec, src_ids = _random_decode_setup(seed, np.float32)
-        args = (enc, dec, cfg, src_ids, src_ids != PAD)
-        assert E.greedy_decode(*args) == greedy_decode_reference(*args), f"seed {seed}"
         bos = np.full((16, 1), BOS, dtype=np.int64)
         with N.no_grad():
             latent = M.encode(src_ids, src_ids != PAD, enc, cfg)
@@ -276,6 +301,32 @@ def test_greedy_decode_float32_matches_reference_and_stays_float32():
                 logits = M.decode(latent, bos + step, bos != PAD, dec, cfg, cache=cache)
                 assert logits.dtype == np.float32
         assert all(a.dtype == np.float32 for kv in cache.self_kv + cache.cross_kv for a in kv)
+
+
+def test_greedy_decode_feeds_only_the_running_prefix(monkeypatch):
+    # On cipher data the bench fixture's output length follows source
+    # length, so each row leaves the decoder right after its EOS: the rows
+    # fed, summed over steps, are the tokens emitted plus one EOS a row.
+    ckpt = TR.load_checkpoint(FIXTURE / "pretrain.ckpt")
+    vocab_src = Vocabulary.load(FIXTURE / "vocab_src.txt")
+    corpus = make_cipher_corpus(32, vocab_size=50, min_len=3, max_len=10, cipher_seed=12345,
+                                seed=3)
+    [src_ids] = source_batches([p.source for p in corpus], vocab_src, 32, ckpt.config.max_len)
+    args = (ckpt.encoder, ckpt.decoder, ckpt.config, src_ids, src_ids != PAD)
+    expected = greedy_decode_reference(*args)
+    order = np.argsort(-np.count_nonzero(src_ids != PAD, axis=1), kind="stable")
+    stops = [len(expected[i]) for i in order]
+    assert stops == sorted(stops, reverse=True) and max(stops) < ckpt.config.max_len - 1
+    fed = []
+    decode = M.decode
+
+    def counted(latent, tgt_ids, *rest, **kwargs):
+        fed.append(tgt_ids.shape[0])
+        return decode(latent, tgt_ids, *rest, **kwargs)
+
+    monkeypatch.setattr(M, "decode", counted)
+    assert E.greedy_decode(*args) == expected
+    assert sum(fed) == sum(len(row) + 1 for row in expected)
 
 
 def test_greedy_decode_builds_cross_keys_once_a_batch(monkeypatch):
