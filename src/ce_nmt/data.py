@@ -16,7 +16,7 @@ import collections
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,8 +84,7 @@ class Vocabulary:
         return vocab
 
 
-@dataclass(frozen=True)
-class SentencePair:
+class SentencePair(NamedTuple):
     source: tuple[str, ...]
     target: tuple[str, ...]
 

@@ -26,7 +26,7 @@ from .data import BOS, EOS, PAD, ParallelCorpus, Vocabulary, batch_iter, source_
     subtract_centroid
 from .errors import ConfigError, ProtocolError
 from .losses import cross_correlation
-from .numerics import Tensor, no_grad
+from .numerics import Tensor, attention_maps, no_grad
 
 MIN_SAMPLES_PER_LANGUAGE = 10
 SOURCE_LANG, TARGET_LANG = "src", "tgt"    # probe labels of a corpus's two sides
@@ -400,21 +400,18 @@ def export_diagnostics(ckpt, corpus: ParallelCorpus, vocab_enc: Vocabulary,
             written.append(path)
 
     probe_batch = next(batch_iter(corpus, vocab_enc, vocab_enc, batch_size, max_len=cfg.max_len))
-    enc_capture: list = []
-    latent = M.encode(probe_batch.source_ids, probe_batch.source_mask, ckpt.encoder, cfg,
-                      capture=enc_capture)
-    captures = {"encoder_self": enc_capture}
+    with attention_maps() as encoder_maps:
+        latent = M.encode(probe_batch.source_ids, probe_batch.source_mask, ckpt.encoder, cfg)
+    maps = {"encoder_self": encoder_maps}
     if ckpt.decoder is not None:
         if vocab_tgt is None:
             raise ConfigError("vocab_tgt is required to export decoder attention maps")
         dec_batch = next(batch_iter(corpus, vocab_enc, vocab_tgt, batch_size, max_len=cfg.max_len))
-        self_capture: list = []
-        cross_capture: list = []
-        M.decode(latent, dec_batch.target_ids, dec_batch.target_mask, ckpt.decoder, cfg,
-                 self_capture=self_capture, cross_capture=cross_capture)
-        captures["decoder_self"] = self_capture
-        captures["decoder_cross"] = cross_capture
-    for kind, layers in captures.items():
+        with attention_maps() as decoder_maps:
+            M.decode(latent, dec_batch.target_ids, dec_batch.target_mask, ckpt.decoder, cfg)
+        # ``decode`` runs each layer's self-attention before its cross-attention.
+        maps["decoder_self"], maps["decoder_cross"] = decoder_maps[0::2], decoder_maps[1::2]
+    for kind, layers in maps.items():
         for layer_idx, weights in enumerate(layers):
             B, heads, tq, tk = weights.shape
             for head in range(heads):

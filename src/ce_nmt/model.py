@@ -143,44 +143,29 @@ def param_layout(cfg: ModelConfig, group: str) -> list[tuple[str, tuple[int, ...
     return out
 
 
-def _init_group(cfg: ModelConfig, group: str, rng: np.random.Generator, dtype,
-                embed_table: np.ndarray | None = None) -> dict[str, Tensor]:
-    """Draw the parameters of ``param_layout(cfg, group)`` in order;
-    ``embed_table`` replaces the draw of ``embed``."""
+def init_params(cfg: ModelConfig, group: str, rng: np.random.Generator, dtype=np.float64,
+                embed_table: np.ndarray | None = None) -> ParamGroup:
+    """Fresh parameters of ``group``, drawn from ``rng`` in ``param_layout``
+    order; ``embed_table`` (src_vocab x emb_dim, encoder only) replaces the
+    draw of ``embed``."""
+    if embed_table is not None and group != "encoder":
+        raise ConfigError(f"an embedding table seeds the encoder only, not the {group}")
+    if embed_table is not None and embed_table.shape != (cfg.src_vocab, cfg.emb_dim):
+        raise ConfigError(f"embedding table shape {embed_table.shape} does not match "
+                          f"(src_vocab, emb_dim)=({cfg.src_vocab}, {cfg.emb_dim})")
     out: dict[str, Tensor] = {}
     for name, shape, kind in param_layout(cfg, group):
         if name == "embed" and embed_table is not None:
-            values = embed_table.astype(dtype)
+            values = embed_table.astype(dtype)     # a copy: training must not write the caller's table
         elif kind == "normal":
-            values = rng.normal(0.0, shape[1] ** -0.5, size=shape).astype(dtype)
+            values = rng.normal(0.0, shape[1] ** -0.5, size=shape).astype(dtype, copy=False)
         elif kind == "glorot":
             limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-            values = rng.uniform(-limit, limit, size=shape).astype(dtype)
+            values = rng.uniform(-limit, limit, size=shape).astype(dtype, copy=False)
         else:
             values = (np.ones if kind == "ones" else np.zeros)(shape, dtype=dtype)
         out[name] = Tensor(values, requires_grad=True)
-    return out
-
-
-def init_encoder_params(cfg: ModelConfig, rng: np.random.Generator,
-                        dtype=np.float64, embed_table: np.ndarray | None = None) -> ParamGroup:
-    """Fresh encoder parameters; ``embed_table`` overrides the embedding init."""
-    if embed_table is not None and embed_table.shape != (cfg.src_vocab, cfg.emb_dim):
-        raise ConfigError(
-            f"embedding table shape {embed_table.shape} does not match "
-            f"(src_vocab, emb_dim)=({cfg.src_vocab}, {cfg.emb_dim})"
-        )
-    return ParamGroup(_init_group(cfg, "encoder", rng, dtype, embed_table))
-
-
-def init_decoder_params(cfg: ModelConfig, rng: np.random.Generator,
-                        dtype=np.float64) -> ParamGroup:
-    return ParamGroup(_init_group(cfg, "decoder", rng, dtype))
-
-
-def init_projection_params(cfg: ModelConfig, rng: np.random.Generator,
-                           dtype=np.float64) -> ParamGroup:
-    return ParamGroup(_init_group(cfg, "projection", rng, dtype))
+    return ParamGroup(out)
 
 
 # -- representation records ------------------------------------------------------
@@ -267,14 +252,11 @@ def _keys_values(x: Tensor, params: ParamGroup, prefix: str) -> tuple[Tensor, Te
 
 
 def _mha_layer(x_q: Tensor, kv: tuple, params: ParamGroup, prefix: str,
-               mask: np.ndarray, cfg: ModelConfig, capture: list | None,
-               attend=None) -> Tensor:
+               mask: np.ndarray, cfg: ModelConfig, attend) -> Tensor:
     """Attention sublayer; ``kv`` are (B, tk, dim) Tensors for ``attend`` =
-    ``N.multi_head_attention`` (the default), or head-major arrays for
-    ``N.attend_cached``."""
-    attend = attend or N.multi_head_attention
+    ``N.multi_head_attention``, or head-major arrays for ``N.attend_cached``."""
     q = N.linear(x_q, params[f"{prefix}.wq"])
-    return N.linear(attend(q, *kv, mask, cfg.heads, capture), params[f"{prefix}.wo"])
+    return N.linear(attend(q, *kv, mask, cfg.heads), params[f"{prefix}.wo"])
 
 
 def _heads_kv(x: Tensor, params: ParamGroup, prefix: str, heads: int) -> tuple[np.ndarray, np.ndarray]:
@@ -318,8 +300,7 @@ def _embed_inputs(ids: np.ndarray, pe: np.ndarray, params: ParamGroup, cfg: Mode
 
 
 def encode(src_ids: np.ndarray, src_mask: np.ndarray, params: ParamGroup,
-           cfg: ModelConfig, rng: np.random.Generator | None = None,
-           capture: list | None = None) -> LatentSequence:
+           cfg: ModelConfig, rng: np.random.Generator | None = None) -> LatentSequence:
     """Map source token ids (B, t) to latent states (B, t, dim), exactly 0.0 at PAD.
 
     Self-attention is padding-masked only: every unmasked position sees every
@@ -342,7 +323,7 @@ def encode(src_ids: np.ndarray, src_mask: np.ndarray, params: ParamGroup,
     for i in range(cfg.depth):
         y = N.scatter_rows(_ln(x, params, f"layer{i}.ln1"), rows)
         attn_out = _mha_layer(y, _keys_values(y, params, f"layer{i}.attn"), params,
-                              f"layer{i}.attn", src_mask, cfg, capture)
+                              f"layer{i}.attn", src_mask, cfg, N.multi_head_attention)
         x = x + _dropout(N.gather_rows(attn_out, rows), cfg.dropout, rng, rows)
         ff_out = _ff(_ln(x, params, f"layer{i}.ln2"), params, f"layer{i}.ff", rows)
         x = x + _dropout(ff_out, cfg.dropout, rng, rows)
@@ -352,8 +333,6 @@ def encode(src_ids: np.ndarray, src_mask: np.ndarray, params: ParamGroup,
 def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
            params: ParamGroup, cfg: ModelConfig,
            rng: np.random.Generator | None = None,
-           self_capture: list | None = None,
-           cross_capture: list | None = None,
            cache: DecodeCache | None = None) -> Tensor:
     """Causal decoding of a target prefix against an encoded source.
 
@@ -373,7 +352,10 @@ def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
     A prefix longer than ``cfg.max_len`` in all, cached or not, raises
     ``ConfigError``, as a longer source does in ``encode``; so does a
     cached call whose batch size is not the cache's.
-    """
+
+    Each layer runs self-attention before cross-attention, so inside
+    ``numerics.attention_maps()`` the maps alternate self, cross, layer by
+    layer; ``evaluation.export_diagnostics`` relies on that order."""
     tgt_ids = np.asarray(tgt_ids)
     tgt_mask = np.asarray(tgt_mask, dtype=bool)
     if tgt_ids.shape != tgt_mask.shape or tgt_ids.ndim != 2:
@@ -413,15 +395,15 @@ def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
             keys, values = cache.self_kv[i]
             keys[:, :, start:end], values[:, start:end] = _heads_kv(y, params, f"layer{i}.self", cfg.heads)
             kv = keys[:, :, :end], values[:, :end]
-        x = x + _dropout(_mha_layer(y, kv, params, f"layer{i}.self", self_mask, cfg, self_capture,
-                                    attend), cfg.dropout, rng)
+        x = x + _dropout(_mha_layer(y, kv, params, f"layer{i}.self", self_mask, cfg, attend),
+                         cfg.dropout, rng)
         y = _ln(x, params, f"layer{i}.ln2")
         if cache is None:
             kv = _keys_values(latent.values, params, f"layer{i}.cross")
         else:
             kv = cache.cross_kv[i]
-        x = x + _dropout(_mha_layer(y, kv, params, f"layer{i}.cross", latent.mask, cfg, cross_capture,
-                                    attend), cfg.dropout, rng)
+        x = x + _dropout(_mha_layer(y, kv, params, f"layer{i}.cross", latent.mask, cfg, attend),
+                         cfg.dropout, rng)
         x = x + _dropout(_ff(_ln(x, params, f"layer{i}.ln3"), params, f"layer{i}.ff"), cfg.dropout, rng)
     if cache is not None:
         cache.length = end

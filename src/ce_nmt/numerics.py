@@ -81,11 +81,12 @@ LN_EPS = 1e-5    # added to the variance in ``layer_norm``
 BN_EPS = 1e-5    # added to the variance in ``batch_norm_train``
 
 
-class _GradMode(threading.local):
-    enabled = True
+class _ThreadState(threading.local):
+    grad_enabled = True
+    maps: list | None = None      # the list of the innermost ``attention_maps()`` block
 
 
-_grad_mode = _GradMode()
+_state = _ThreadState()
 
 
 @contextlib.contextmanager
@@ -96,17 +97,32 @@ def no_grad() -> Iterator[None]:
     no backward function. The previous state comes back on exit, on an
     exception too, so blocks nest. The state is per thread.
     """
-    previous = _grad_mode.enabled
-    _grad_mode.enabled = False
+    previous = _state.grad_enabled
+    _state.grad_enabled = False
     try:
         yield
     finally:
-        _grad_mode.enabled = previous
+        _state.grad_enabled = previous
 
 
 def grad_enabled() -> bool:
     """Whether operations record the tape (False inside ``no_grad()``)."""
-    return _grad_mode.enabled
+    return _state.grad_enabled
+
+
+@contextlib.contextmanager
+def attention_maps() -> Iterator[list[np.ndarray]]:
+    """Inside the block, every attention forward (``multi_head_attention``
+    and ``attend_cached``) appends a copy of its weights (B, heads, tq, tk)
+    to the yielded list, in call order. Blocks nest: the innermost one gets
+    the maps, and the outer list resumes on exit, on an exception too.
+    Outside any block nothing is copied. The state is per thread."""
+    previous = _state.maps
+    _state.maps = maps = []
+    try:
+        yield maps
+    finally:
+        _state.maps = previous
 
 
 def _as_float_array(values) -> np.ndarray:
@@ -242,7 +258,7 @@ class Tensor:
 def _result(values: np.ndarray, parents: tuple[_Node, ...],
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(values)
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
+    if _state.grad_enabled and any(p.requires_grad for p in parents):
         node = out._node
         node.requires_grad = True
         node.parents = parents
@@ -467,11 +483,12 @@ def _attention_scale(q3: np.ndarray) -> np.ndarray:
 
 
 def _attention_forward(q3: np.ndarray, k3t: np.ndarray, v3: np.ndarray, mask: np.ndarray,
-                       num_heads: int, capture: list | None) -> tuple[np.ndarray, np.ndarray]:
+                       num_heads: int) -> tuple[np.ndarray, np.ndarray]:
     """The forward of attention on split heads, shared by the tape op and
     cached decoding: q3 (B·heads, tq, hd), keys already transposed k3t
     (B·heads, hd, tk), v3 (B·heads, tk, hd). Returns the merged output
-    (B, tq, h) and the weights (B·heads, tq, tk)."""
+    (B, tq, h) and the weights (B·heads, tq, tk); inside ``attention_maps()``
+    it records a copy of the weights."""
     bh, tq, _ = q3.shape
     tk = k3t.shape[2]
     B = bh // num_heads
@@ -482,21 +499,21 @@ def _attention_forward(q3: np.ndarray, k3t: np.ndarray, v3: np.ndarray, mask: np
         mask = mask[:, None, :]
     full = np.broadcast_to(mask[:, None, :, :], (B, num_heads, tq, tk))
     weights = _softmax_values(scores.reshape((B, num_heads, tq, tk)), full, -1)
-    if capture is not None:
-        capture.append(weights.copy())
+    if _state.maps is not None:
+        _state.maps.append(weights.copy())
     weights = weights.reshape((bh, tq, tk))
     return np.ascontiguousarray(_merge_heads(weights @ v3, num_heads)), weights
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
-                         num_heads: int, capture: list | None = None) -> Tensor:
+                         num_heads: int) -> Tensor:
     """Scaled dot-product attention over ``num_heads`` heads, one tape node.
 
     q: (B, tq, h), k/v: (B, tk, h). ``mask`` is boolean, (B, tk) for key
     padding or (B, tq, tk) for a full pattern; masked keys get exactly zero
-    weight. When ``capture`` is given, the weights (B, heads, tq, tk) are
-    appended to it. The raw scores are checked for finiteness before the
-    mask is applied. Heads are split (``split_heads``), scored, softmaxed
+    weight. Inside ``attention_maps()`` the weights (B, heads, tq, tk) are
+    recorded. The raw scores are checked for finiteness before the mask is
+    applied. Heads are split (``split_heads``), scored, softmaxed
     and merged with the numpy calls and array layouts of the equivalent
     chain of primitive ops, and the backward hands out the same arrays, so
     results match it bitwise. The forward is the one ``attend_cached``
@@ -512,7 +529,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
         raise ShapeError(f"model dim {h} not divisible by {num_heads} heads")
     q3, v3 = split_heads(qv, num_heads), split_heads(vv, num_heads)
     k3t = np.ascontiguousarray(np.transpose(split_heads(kv, num_heads), (0, 2, 1)))
-    out_values, weights = _attention_forward(q3, k3t, v3, mask, num_heads, capture)
+    out_values, weights = _attention_forward(q3, k3t, v3, mask, num_heads)
     scale = _attention_scale(q3)
     nq, nk, nv = q._node, k._node, v._node
 
@@ -534,7 +551,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
 
 
 def attend_cached(q: Tensor, k3t: np.ndarray, v3: np.ndarray, mask: np.ndarray,
-                  num_heads: int, capture: list | None = None) -> Tensor:
+                  num_heads: int) -> Tensor:
     """``multi_head_attention``'s forward against keys and values already in
     head-major layout: k3t (B·heads, hd, tk), transposed, and v3 (B·heads,
     tk, hd), both possibly views into larger buffers. Only ``q`` (B, tq, h)
@@ -545,10 +562,10 @@ def attend_cached(q: Tensor, k3t: np.ndarray, v3: np.ndarray, mask: np.ndarray,
     OpenBLAS rounds such small products differently (seen for tk <= 3), so
     the bits would no longer be ``multi_head_attention``'s. Value views
     keep the 2-D layout of a contiguous block and are read in place."""
-    if _grad_mode.enabled:
+    if _state.grad_enabled:
         raise NumericError("attend_cached records no tape: call it under no_grad()")
     out_values, _ = _attention_forward(split_heads(q.values, num_heads), np.ascontiguousarray(k3t),
-                                       v3, mask, num_heads, capture)
+                                       v3, mask, num_heads)
     return Tensor(out_values)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -105,12 +106,13 @@ def make_cipher_corpus(n_pairs: int, vocab_size: int = 50, min_len: int = 3,
     cipher = np.random.default_rng(cipher_seed).permutation(vocab_size)
     source_words = [f"s{w:02d}" for w in range(vocab_size)]
     target_words = [f"t{c:02d}" for c in cipher.tolist()]
-    source_of, target_of = source_words.__getitem__, target_words.__getitem__
     pairs = []
     for _ in range(n_pairs):
         word_ids = draws.take(1, min_len + draws.take(0, 1)[0])
-        pairs.append(SentencePair(tuple(map(source_of, word_ids)),
-                                  tuple(map(target_of, word_ids))))
+        lookup = itemgetter(*word_ids)
+        pair = SentencePair(lookup(source_words), lookup(target_words))
+        # itemgetter of one id gives a bare token, not a tuple
+        pairs.append(pair if len(word_ids) > 1 else SentencePair((pair.source,), (pair.target,)))
     return ParallelCorpus(pairs)
 
 

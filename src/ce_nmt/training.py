@@ -10,8 +10,9 @@ Stages:
 
 Every stage trains through one loop, ``_steps``: epoch e shuffles the corpus
 with ``seed + 1000 + e``, and each step drops the previous step's graph once
-its source-side encode has run. A stage returns a ``Checkpoint`` of fresh
-parameters without gradients and leaves the one it starts from as it was.
+its source-side encode has run. A stage returns a ``Checkpoint`` without
+gradients: it copies the parameter groups it trains and carries the start's
+other groups as they are, so the checkpoint it starts from is left as it was.
 
 Determinism contract: for a fixed seed and config, every stage produces a
 bit-identical metrics log at 64-bit precision. Timing is therefore only
@@ -148,7 +149,7 @@ class MetricsLog:
         self.path = Path(path)
         self.record_time = record_time
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text("")
+        self.path.touch()      # appended to, never truncated: chained stages keep every record
         self._last = time.monotonic()
 
     def write(self, stage: str, step_or_epoch: int, loss: float,
@@ -518,8 +519,8 @@ def train_translation(cfg: ModelConfig, corpus: ParallelCorpus, vocab_src: Vocab
     The returned parameters hold no gradients.
     """
     rng = np.random.default_rng(seed)
-    enc = M.init_encoder_params(cfg, rng, dtype=dtype, embed_table=embed_table)
-    dec = M.init_decoder_params(cfg, rng, dtype=dtype)
+    enc = M.init_params(cfg, "encoder", rng, dtype, embed_table)
+    dec = M.init_params(cfg, "decoder", rng, dtype)
     ckpt = Checkpoint(cfg, "pretrain", seed, steps, enc, decoder=dec)
     _translate_steps(ckpt, corpus, vocab_src, vocab_tgt, batch_size, lr, warmup, metrics, out_dir)
     return ckpt
@@ -530,9 +531,9 @@ def fresh_ce_start(cfg: ModelConfig, seed: int, dtype=np.float64,
     """A stage-2 starting point without pre-training: a seeded fresh encoder
     (embeddings optionally from ``embed_table``) and projection."""
     rng = np.random.default_rng(seed)
-    enc = M.init_encoder_params(cfg, rng, dtype=dtype, embed_table=embed_table)
-    return Checkpoint(cfg, "ce", seed, 0, enc,
-                      projection=M.init_projection_params(cfg, rng, dtype=dtype))
+    enc = M.init_params(cfg, "encoder", rng, dtype, embed_table)
+    proj = M.init_params(cfg, "projection", rng, dtype)
+    return Checkpoint(cfg, "ce", seed, 0, enc, projection=proj)
 
 
 def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabulary,
@@ -544,8 +545,9 @@ def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabu
     Both sides of every pair pass through the one shared encoder (ids under
     the encoder vocabulary), then pooling, projection, batch norm, and the
     loss. Only encoder and projection parameters are updated; any decoder in
-    ``start`` is carried through untouched. Batch norm needs statistics, so
-    a corpus under 2 pairs is rejected and a batch under 2 rows is skipped.
+    ``start`` is carried into the result as the same object, untouched.
+    Batch norm needs statistics, so a corpus under 2 pairs is rejected and a
+    batch under 2 rows is skipped.
     ``metrics`` gets one record per epoch with the mean loss terms.
 
     The stage aborts with ``CollapseError`` once the monitor reports collapse
@@ -560,10 +562,8 @@ def context_enhance(start: Checkpoint, corpus: ParallelCorpus, vocab_enc: Vocabu
         raise ConfigError(f"context enhancement needs at least 2 pairs, got {len(corpus)}")
     cfg = replace(start.config, proj_dim=ce_cfg.proj_dim, pooling=ce_cfg.pooling)
     enc = start.encoder.copy()
-    dec = start.decoder.copy() if start.decoder is not None else None
-    proj = M.init_projection_params(cfg, np.random.default_rng(seed),
-                                    dtype=enc["embed"].dtype)
-    ckpt = Checkpoint(cfg, "ce", seed, ce_cfg.epochs, enc, decoder=dec, projection=proj)
+    proj = M.init_params(cfg, "projection", np.random.default_rng(seed), enc["embed"].dtype)
+    ckpt = Checkpoint(cfg, "ce", seed, ce_cfg.epochs, enc, decoder=start.decoder, projection=proj)
     optimizer = AdamOptimizer(_flatten({"encoder": enc, "projection": proj}), lr=lr, warmup=warmup)
     monitor = monitor or CollapseMonitor()
     epoch_terms = []        # (total, invariance, redundancy) of this epoch's batches
@@ -609,10 +609,10 @@ def finetune_translation(ce_ckpt: Checkpoint, corpus: ParallelCorpus, vocab_src:
     """Stage 3: joint translation training from the enhanced encoder.
 
     The decoder starts fresh by default; ``reuse_decoder`` picks up the
-    decoder carried inside the CE checkpoint instead. Pooling, projection and
-    batch norm never execute on this path; the projection parameters are
-    retained in the result untouched. The returned parameters hold no
-    gradients, and ``ce_ckpt`` is left as it was.
+    decoder carried inside the CE checkpoint instead, as a copy. Pooling,
+    projection and batch norm never execute on this path; the projection is
+    carried into the result as the same object, untouched. The returned
+    parameters hold no gradients, and ``ce_ckpt`` is left as it was.
     """
     if ce_ckpt.stage != "ce":
         raise ConfigError(f"fine-tuning requires a ce checkpoint, got stage {ce_ckpt.stage!r}")
@@ -623,9 +623,8 @@ def finetune_translation(ce_ckpt: Checkpoint, corpus: ParallelCorpus, vocab_src:
             raise ConfigError("reuse_decoder requested but the ce checkpoint has no decoder")
         dec = ce_ckpt.decoder.copy()
     else:
-        dec = M.init_decoder_params(cfg, np.random.default_rng(seed), dtype=enc["embed"].dtype)
-    ckpt = Checkpoint(cfg, "finetune", seed, steps, enc, decoder=dec,
-                      projection=ce_ckpt.projection.copy())
+        dec = M.init_params(cfg, "decoder", np.random.default_rng(seed), enc["embed"].dtype)
+    ckpt = Checkpoint(cfg, "finetune", seed, steps, enc, decoder=dec, projection=ce_ckpt.projection)
     _translate_steps(ckpt, corpus, vocab_src, vocab_tgt, batch_size, lr, warmup, metrics, out_dir)
     return ckpt
 

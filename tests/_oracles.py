@@ -272,10 +272,12 @@ def layer_norm_reference(x, gain, bias, g, eps=1e-5):
     return out, term * inv, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
 
-def encode_reference(src_ids, src_mask, params, cfg, rng=None, capture=None):
+def encode_reference(src_ids, src_mask, params, cfg, rng=None):
     """The encoder computed on the padded (B, t, dim) layout: every position,
     PAD included, runs through the embedding, layer norms and feed-forward,
-    and only attention masking and pooling keep PAD out of valid rows."""
+    and only attention masking and pooling keep PAD out of valid rows. Inside
+    ``numerics.attention_maps()`` it records its attention weights as
+    ``model.encode`` does."""
     src_ids = np.asarray(src_ids)
     src_mask = np.asarray(src_mask, dtype=bool)
     emb = N.embedding_lookup(params["embed"], src_ids)
@@ -285,7 +287,7 @@ def encode_reference(src_ids, src_mask, params, cfg, rng=None, capture=None):
     for i in range(cfg.depth):
         y = M._ln(x, params, f"layer{i}.ln1")
         attn_out = M._mha_layer(y, M._keys_values(y, params, f"layer{i}.attn"), params,
-                                f"layer{i}.attn", src_mask, cfg, capture)
+                                f"layer{i}.attn", src_mask, cfg, N.multi_head_attention)
         x = x + M._dropout(attn_out, cfg.dropout, rng)
         ff_out = M._ff(M._ln(x, params, f"layer{i}.ln2"), params, f"layer{i}.ff")
         x = x + M._dropout(ff_out, cfg.dropout, rng)

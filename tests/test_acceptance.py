@@ -141,8 +141,8 @@ def test_criterion_03_gradient_suite():
     # grad_check requires a point where the objective is differentiable; this
     # seed keeps every relu input at least 6e-3 from the kink (eps is 1e-5).
     rng = np.random.default_rng(37)
-    enc = M.init_encoder_params(cfg, rng)
-    proj = M.init_projection_params(cfg, rng)
+    enc = M.init_params(cfg, "encoder", rng)
+    proj = M.init_params(cfg, "projection", rng)
     src = np.array([[1, 4, 5, 2], [1, 6, 2, 0], [1, 7, 8, 2], [1, 5, 9, 2]])
     tgt = np.array([[1, 6, 2, 0], [1, 4, 7, 2], [1, 8, 2, 0], [1, 4, 2, 0]])
     src_mask, tgt_mask = src != 0, tgt != 0
@@ -170,8 +170,8 @@ def test_criterion_04_mask_and_causality():
                             dim=heads * int(rng.choice([2, 4, 8])),
                             heads=heads, ff_dim=int(rng.integers(4, 20)),
                             proj_dim=3, emb_dim=int(rng.integers(4, 10)), max_len=10)
-        enc = M.init_encoder_params(cfg, rng)
-        dec = M.init_decoder_params(cfg, rng)
+        enc = M.init_params(cfg, "encoder", rng)
+        dec = M.init_params(cfg, "decoder", rng)
 
         def batch(t, vocab):
             lengths = rng.integers(2, t + 1, size=3)

@@ -158,6 +158,11 @@ def test_train_then_ce_then_finetune_chain(toy_files):
                      "--checkpoint", str(ce), "--finetune-steps", "2", "--seed", "3",
                      *SMALL_MODEL]) == 0
     assert next(out.glob("finetune-*.ckpt"))
+    # Each stage appends to the one metrics log; none truncates it.
+    records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    assert [(r["stage"], r["step_or_epoch"]) for r in records] == \
+        [("pretrain", 1), ("pretrain", 2), ("pretrain", 3), ("ce", 0), ("ce", 1),
+         ("finetune", 1), ("finetune", 2)]
 
 
 def test_float32_chain_with_stage_seeds_gives_pipeline_checkpoints(toy_files):
@@ -491,8 +496,8 @@ def test_eval_classify_baseline_vocab_size_must_match(pipeline_out, capsys):
     wider = dataclasses.replace(cfg, src_vocab=cfg.src_vocab + 2)
     rng = np.random.default_rng(0)
     base = TR.save_checkpoint(TR.Checkpoint(wider, "pretrain", 0, 0,
-                                            M.init_encoder_params(wider, rng),
-                                            decoder=M.init_decoder_params(wider, rng)),
+                                            M.init_params(wider, "encoder", rng),
+                                            decoder=M.init_params(wider, "decoder", rng)),
                               tmp / "other" / "pretrain-0.ckpt")
     capsys.readouterr()
     code = cli.main(["eval", "--mode", "classify", "--checkpoint", str(ce),

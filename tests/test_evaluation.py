@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 from pathlib import Path
 
@@ -228,8 +229,8 @@ def _random_decode_setup(seed, dtype=np.float64):
     heads = [1, 2, 4][seed % 3]
     cfg = M.ModelConfig(src_vocab=12, tgt_vocab=9, depth=1 + seed % 2, dim=4 * heads,
                         heads=heads, ff_dim=16, emb_dim=6, max_len=9)
-    enc = M.init_encoder_params(cfg, rng, dtype)
-    dec = M.init_decoder_params(cfg, rng, dtype)
+    enc = M.init_params(cfg, "encoder", rng, dtype)
+    dec = M.init_params(cfg, "decoder", rng, dtype)
     # Sharper outputs and a stronger pull from the source make rows of one
     # batch stop at different steps.
     for i in range(cfg.depth):
@@ -399,3 +400,59 @@ def test_export_diagnostics_files(trained_toy, tmp_path):
     loaded = np.array([[float(v) for v in row] for row in rows[1:]])
     assert loaded.shape == (cfg.proj_dim, cfg.proj_dim)
     assert np.abs(loaded).max() <= 1.0 + 1e-6
+
+
+# sha256 of every file ``export_diagnostics`` writes for a depth-2 float64 ce
+# checkpoint that carries a decoder and a projection, taken before attention
+# maps were recorded through ``numerics.attention_maps``. Swapping the
+# decoder's self and cross maps, or two layers' maps, moves these.
+DIAGNOSTICS_SHA256 = {
+    "attention_decoder_cross_l0_h0.csv":
+        "510b68139205f8772ca374aee9e221309d6a82357b56729c314c59c6e90d5d2e",
+    "attention_decoder_cross_l0_h1.csv":
+        "d711d8e503cb85ff7e1941cbf61b90f5380e56d528ee996ccc5230b512aa08db",
+    "attention_decoder_cross_l1_h0.csv":
+        "4602172806cd8a8334645df72191a83374f2e29522018041644d752ea7a3ce34",
+    "attention_decoder_cross_l1_h1.csv":
+        "d452497866c4fe1c9828a75bd928287289460ada300b3909e9ed4a7877595a01",
+    "attention_decoder_self_l0_h0.csv":
+        "34320b56fdefd06eaa4382ebe85497bf7d7d2e3e95e3d6cf3728da79011ddf78",
+    "attention_decoder_self_l0_h1.csv":
+        "542821b79a24acf099b86695ec2806754db02c409025c3ee3f1b7030b79bc1fb",
+    "attention_decoder_self_l1_h0.csv":
+        "f9d9c6ddb1cbba2df25bd0141ecd19386ad64b30ec5e68ad020a08c0d23be886",
+    "attention_decoder_self_l1_h1.csv":
+        "e3001d1cc570cef7305f9652b9205801566f04849a056d9941c13f12d108f93c",
+    "attention_encoder_self_l0_h0.csv":
+        "0d98033812c043e430b05e772f0a5488d6a737f2f92c1d80b22ac8e72c83a4b6",
+    "attention_encoder_self_l0_h1.csv":
+        "e97bbf04a67f2386351621087ded0f4a04dcc00230c550e12e5ed03e77d5d4ce",
+    "attention_encoder_self_l1_h0.csv":
+        "06d43e7f0f4e26e6be41d1fb1b13af24a60c0342d16ab3284b5ff3369d64dd65",
+    "attention_encoder_self_l1_h1.csv":
+        "d4c6490315e66ef6b225450e4e5e4930b68454341a848b0ffc22db8bf57c2760",
+    "correlation_batch0.csv":
+        "f27caffb717389af8dff4dbf12f92638de567b1baf84f3a2313e009a8b0f1764",
+    "correlation_batch1.csv":
+        "d2ca936b15efab393fffc64ae89a6a5984b0d7ead7d959bb2e2da70dd33e5b21",
+    "sentence_embeddings.csv":
+        "f77d977145baf3efc708eaf6fdb2770acb3cd4037844c27c81b8bd1ba0a5b60e",
+    "word_embeddings.csv":
+        "f58e28f3fd604d1f77524425382c76de42d8bcd5c9dc333b8a590a3ecb4944ad",
+}
+
+
+def test_export_diagnostics_bytes_pinned(tmp_path):
+    corpus = make_cipher_corpus(48, vocab_size=8, min_len=2, max_len=5, seed=3)
+    vocab_enc = build_vocab([p.source for p in corpus] + [p.target for p in corpus])
+    vocab_tgt = build_vocab([p.target for p in corpus])
+    cfg = M.ModelConfig(src_vocab=len(vocab_enc), tgt_vocab=len(vocab_tgt), depth=2,
+                        dim=8, heads=2, ff_dim=16, proj_dim=4, emb_dim=8, max_len=8)
+    pre = TR.train_translation(cfg, corpus, vocab_enc, vocab_tgt, seed=4, steps=10,
+                               batch_size=16, lr=3e-3, warmup=5)
+    ce = TR.context_enhance(pre, corpus, vocab_enc,
+                            TR.CEConfig(epochs=1, batch_size=16, proj_dim=4), seed=5)
+    files = E.export_diagnostics(ce, corpus, vocab_enc, tmp_path, vocab_tgt=vocab_tgt,
+                                 batch_size=6)
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+    assert got == DIAGNOSTICS_SHA256

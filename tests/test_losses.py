@@ -221,8 +221,8 @@ def test_full_ce_pipeline_gradient():
     cfg = M.ModelConfig(src_vocab=9, tgt_vocab=9, depth=1, dim=8, heads=2,
                         ff_dim=12, proj_dim=3, emb_dim=5, max_len=8)
     rng = np.random.default_rng(10)
-    enc = M.init_encoder_params(cfg, rng)
-    proj = M.init_projection_params(cfg, rng)
+    enc = M.init_params(cfg, "encoder", rng)
+    proj = M.init_params(cfg, "projection", rng)
     src = np.array([[1, 4, 5, 2], [1, 6, 2, 0], [1, 7, 8, 2], [1, 5, 2, 0]])
     tgt = np.array([[1, 6, 2, 0], [1, 4, 7, 2], [1, 8, 2, 0], [1, 4, 2, 0]])
     src_mask, tgt_mask = src != 0, tgt != 0

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,9 @@ def random_batch(rng, cfg, B=3, t=5, vocab=None):
 def setup():
     cfg = small_config()
     rng = np.random.default_rng(11)
-    enc = M.init_encoder_params(cfg, rng)
-    dec = M.init_decoder_params(cfg, rng)
-    proj = M.init_projection_params(cfg, rng)
+    enc = M.init_params(cfg, "encoder", rng)
+    dec = M.init_params(cfg, "decoder", rng)
+    proj = M.init_params(cfg, "projection", rng)
     return cfg, rng, enc, dec, proj
 
 
@@ -51,6 +53,27 @@ def test_config_rejects_bad_pooling():
 def test_config_rejects_depth_out_of_range():
     with pytest.raises(ConfigError):
         small_config(depth=25)
+
+
+def test_init_params_follows_param_layout():
+    cfg = small_config()
+    for group in M.GROUPS:
+        params = M.init_params(cfg, group, np.random.default_rng(0), np.float32)
+        assert [(name, t.shape) for name, t in params.items()] == \
+            [(name, shape) for name, shape, _ in M.param_layout(cfg, group)]
+        assert all(t.dtype == np.float32 for _, t in params.items())
+
+
+def test_init_params_embedding_table():
+    cfg = small_config()
+    table = np.arange(cfg.src_vocab * cfg.emb_dim, dtype=np.float64).reshape(cfg.src_vocab, -1)
+    enc = M.init_params(cfg, "encoder", np.random.default_rng(0), embed_table=table)
+    assert enc["embed"].values.tobytes() == table.tobytes()
+    assert not np.shares_memory(enc["embed"].values, table)    # training must not write it
+    with pytest.raises(ConfigError, match="does not match"):
+        M.init_params(cfg, "encoder", np.random.default_rng(0), embed_table=table[:, 1:])
+    with pytest.raises(ConfigError, match="encoder only"):
+        M.init_params(cfg, "decoder", np.random.default_rng(0), embed_table=table)
 
 
 def test_config_ff_dim_defaults_to_4x():
@@ -100,7 +123,7 @@ def test_encode_deterministic_without_dropout(setup):
 def test_encode_dropout_is_seeded():
     cfg = small_config(dropout=0.2)
     rng = np.random.default_rng(3)
-    enc = M.init_encoder_params(cfg, rng)
+    enc = M.init_params(cfg, "encoder", rng)
     ids, mask = random_batch(np.random.default_rng(0), cfg)
     a = M.encode(ids, mask, enc, cfg, rng=np.random.default_rng(5)).values.values
     b = M.encode(ids, mask, enc, cfg, rng=np.random.default_rng(5)).values.values
@@ -145,7 +168,7 @@ def test_encode_matches_padded_reference_bitwise(dtype, batch, pooling):
     # the bits of those rows of the padded product.
     cfg = small_config(src_vocab=20, dim=16, heads=2, ff_dim=32, emb_dim=8)
     rng = np.random.default_rng(len(batch) + 10 * (dtype == np.float32))
-    enc = M.init_encoder_params(cfg, rng, dtype=dtype)
+    enc = M.init_params(cfg, "encoder", rng, dtype=dtype)
     t, lengths = PACKED_BATCHES[batch]
     ids, mask = batch_of_lengths(rng, cfg.src_vocab, t, lengths)
     weight = rng.normal(size=cfg.dim)
@@ -161,7 +184,7 @@ def test_encode_matches_padded_reference_bitwise(dtype, batch, pooling):
 def test_encode_dropout_matches_padded_reference():
     cfg = small_config(src_vocab=20, dim=16, heads=2, ff_dim=32, emb_dim=8, dropout=0.3)
     rng = np.random.default_rng(21)
-    enc = M.init_encoder_params(cfg, rng)
+    enc = M.init_params(cfg, "encoder", rng)
     ids, mask = batch_of_lengths(rng, cfg.src_vocab, *PACKED_BATCHES["pad_60"])
     weight = rng.normal(size=cfg.dim)
     got, got_grads = encode_and_grads(M.encode, ids, mask, enc, cfg, "mean", weight, 8)
@@ -237,8 +260,8 @@ def test_cached_decode_matches_full_decode_randomized_configs():
         heads = int(rng.choice([1, 2, 4]))
         cfg = small_config(depth=int(rng.integers(1, 3)), dim=4 * heads, heads=heads,
                            ff_dim=int(rng.integers(4, 17)))
-        enc = M.init_encoder_params(cfg, rng)
-        dec = M.init_decoder_params(cfg, rng)
+        enc = M.init_params(cfg, "encoder", rng)
+        dec = M.init_params(cfg, "decoder", rng)
         src_ids, src_mask = random_batch(rng, cfg, B=4, t=int(rng.integers(3, 7)))
         t = int(rng.integers(3, 8))
         tgt_ids, tgt_mask = random_batch(rng, cfg, B=4, t=t, vocab=cfg.tgt_vocab)
@@ -361,15 +384,72 @@ def test_attention_hand_case_matches_formula():
     assert np.max(np.abs(out.values[0] - expected)) < 1e-10
 
 
+# -- attention maps ------------------------------------------------------------------
+
+
 def test_attention_capture_weights(setup):
     cfg, rng, enc, _, _ = setup
     ids, mask = random_batch(rng, cfg)
-    capture: list = []
-    M.encode(ids, mask, enc, cfg, capture=capture)
-    assert len(capture) == cfg.depth
-    assert capture[0].shape == (3, cfg.heads, 5, 5)
-    sums = capture[0].sum(axis=-1)
+    with N.attention_maps() as maps:
+        M.encode(ids, mask, enc, cfg)
+    assert len(maps) == cfg.depth
+    assert maps[0].shape == (3, cfg.heads, 5, 5)
+    sums = maps[0].sum(axis=-1)
     assert np.max(np.abs(sums - 1.0)) < 1e-12
+
+
+def test_attention_maps_record_nothing_outside_a_block(setup):
+    cfg, rng, enc, _, _ = setup
+    ids, mask = random_batch(rng, cfg)
+    with N.attention_maps() as maps:
+        pass
+    M.encode(ids, mask, enc, cfg)
+    assert maps == []
+
+
+def test_attention_maps_nested_block_restores_the_outer_list(setup):
+    cfg, rng, enc, _, _ = setup
+    ids, mask = random_batch(rng, cfg)
+    with N.attention_maps() as outer:
+        M.encode(ids, mask, enc, cfg)
+        with N.attention_maps() as inner:
+            M.encode(ids, mask, enc, cfg)
+        with pytest.raises(RuntimeError):
+            with N.attention_maps():
+                raise RuntimeError("leaves the block")
+        M.encode(ids, mask, enc, cfg)
+    assert len(inner) == cfg.depth
+    assert len(outer) == 2 * cfg.depth
+
+
+def test_attention_maps_thread_started_in_a_block_records_nothing_into_it(setup):
+    cfg, rng, enc, _, _ = setup
+    ids, mask = random_batch(rng, cfg)
+    latents = []
+    with N.attention_maps() as maps:
+        worker = threading.Thread(target=lambda: latents.append(M.encode(ids, mask, enc, cfg)))
+        worker.start()
+        worker.join(timeout=60)
+    assert not worker.is_alive() and len(latents) == 1
+    assert maps == []
+
+
+def test_attention_maps_of_decode_alternate_self_and_cross(setup):
+    cfg, rng, enc, dec, _ = setup
+    src, src_mask = random_batch(rng, cfg, B=3, t=6)
+    tgt, tgt_mask = random_batch(rng, cfg, B=3, t=4, vocab=cfg.tgt_vocab)
+    latent = M.encode(src, src_mask, enc, cfg)
+    with N.attention_maps() as maps:
+        M.decode(latent, tgt, tgt_mask, dec, cfg)
+    assert [m.shape for m in maps] == [(3, cfg.heads, 4, 4), (3, cfg.heads, 4, 6)] * cfg.depth
+    causal = np.tril(np.ones((4, 4), dtype=bool))
+    for self_map, cross_map in zip(maps[0::2], maps[1::2]):
+        assert (self_map[:, :, ~causal] == 0.0).all()
+        assert (cross_map * ~src_mask[:, None, None, :] == 0.0).all()
+    # Cached decoding records through ``attend_cached``, in the same order.
+    with N.no_grad(), N.attention_maps() as cached:
+        M.decode(latent, tgt[:, :1], tgt_mask[:, :1], dec, cfg, cache=M.DecodeCache())
+    assert [m.shape for m in cached] == [(3, cfg.heads, 1, 1), (3, cfg.heads, 1, 6)] * cfg.depth
 
 
 # -- pool ----------------------------------------------------------------------------
@@ -414,7 +494,7 @@ def test_project_output_shape(setup):
 def test_project_zero_params_zero_output(setup):
     cfg, rng, _, _, _ = setup
     zero = M.ParamGroup({k: N.Tensor(np.zeros_like(v.values), requires_grad=True)
-                         for k, v in M.init_projection_params(cfg, rng).items()})
+                         for k, v in M.init_params(cfg, "projection", rng).items()})
     sentences = N.Tensor(rng.normal(size=(4, cfg.dim)))
     assert np.array_equal(M.project(sentences, zero).values, np.zeros((4, cfg.proj_dim)))
 
@@ -448,8 +528,8 @@ def test_mask_and_causality_randomized_configs():
         heads = int(rng.choice([1, 2, 4]))
         cfg = small_config(depth=int(rng.integers(1, 3)), dim=4 * heads, heads=heads,
                            ff_dim=int(rng.integers(4, 17)))
-        enc = M.init_encoder_params(cfg, rng)
-        dec = M.init_decoder_params(cfg, rng)
+        enc = M.init_params(cfg, "encoder", rng)
+        dec = M.init_params(cfg, "decoder", rng)
         src_ids, src_mask = random_batch(rng, cfg, B=3, t=int(rng.integers(4, 7)))
         tgt_ids, tgt_mask = random_batch(rng, cfg, B=3, t=4, vocab=cfg.tgt_vocab)
         latent = M.encode(src_ids, src_mask, enc, cfg)

@@ -1,5 +1,6 @@
 import threading
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -138,22 +139,29 @@ def test_layer_norm_matches_mean_var_formula_bitwise(dtype):
 # -- fused linear and attention against their primitive-op chains ----------------
 
 FUSED = {"linear": N.linear, "attention": N.multi_head_attention}
-REFERENCE = {"linear": linear_reference, "attention": attention_reference}
+REFERENCE = {"linear": linear_reference}     # attention: ``attention_reference`` with a capture list
 
 
 def _fused_and_reference(forward, arrays):
-    """Run ``forward(ops, captures, *leaves)`` with the fused ops and with the
-    reference chains; per side, the bytes of the output, of every captured
-    array and of every leaf's gradient after one weighted-sum backward."""
+    """Run ``forward(ops, *leaves)`` with the fused ops and with the reference
+    chains; per side, the bytes of the output, of every attention map and of
+    every leaf's gradient after one weighted-sum backward. The fused side's
+    maps are those ``N.attention_maps()`` records; the reference chain
+    records none there and hands its own to its ``capture`` list."""
     sides = []
-    for ops in (FUSED, REFERENCE):
+    for fused in (True, False):
+        captured: list = []
+        ops = FUSED if fused else {**REFERENCE, "attention": partial(attention_reference,
+                                                                     capture=captured)}
         leaves = [N.Tensor(a.copy(), requires_grad=True) for a in arrays]
-        captures: list = []
-        out = forward(ops, captures, *leaves)
+        with N.attention_maps() as recorded:
+            out = forward(ops, *leaves)
+        maps = recorded if fused else captured
+        assert fused or recorded == []
         weight = np.random.default_rng(99).normal(size=out.shape)
         tsum(out * weight).backward()
         assert all(t.grad is not None for t in leaves)
-        sides.append([out.values.tobytes()] + [c.tobytes() for c in captures]
+        sides.append([out.values.tobytes()] + [m.tobytes() for m in maps]
                      + [t.grad.tobytes() for t in leaves])
     return sides
 
@@ -166,7 +174,7 @@ def test_linear_matches_reference_bitwise(dtype, shape, bias):
     arrays = [rng.normal(size=shape), rng.normal(size=(6, 3)), rng.normal(size=(3, 4)),
               rng.normal(size=(6, 4))] + ([rng.normal(size=3)] if bias else [])
 
-    def forward(ops, _, x, w1, w2, w3, *b1):
+    def forward(ops, x, w1, w2, w3, *b1):
         hidden = ops["linear"](x, w1, *b1)
         return ops["linear"](hidden, w2) + ops["linear"](x, w3)   # x fans in twice
 
@@ -188,13 +196,13 @@ def test_attention_matches_reference_bitwise(dtype, heads, pattern):
     arrays = [rng.normal(size=(B, tq, h)), rng.normal(size=(B, tk, h))] \
         + [rng.normal(size=(h, h)) for _ in range(4)]
 
-    def forward(ops, captures, y, src, wq, wk, wv, wo):
+    def forward(ops, y, src, wq, wk, wv, wo):
         # Self-attention reads y three times, so y's gradient sums the q, k
         # and v contributions in tape order; the src term gives src a use.
         kv_in = src if pattern == "cross" else y
         q = ops["linear"](y, wq)
         k, v = ops["linear"](kv_in, wk), ops["linear"](kv_in, wv)
-        out = ops["linear"](ops["attention"](q, k, v, mask, heads, captures), wo)
+        out = ops["linear"](ops["attention"](q, k, v, mask, heads), wo)
         return out if pattern == "cross" else out + tsum(src, axis=1, keepdims=True)
 
     fused, reference = _fused_and_reference(forward, [a.astype(dtype) for a in arrays])
@@ -435,7 +443,7 @@ def test_gradients_are_never_written_in_place():
 
     cfg = M.ModelConfig(src_vocab=9, tgt_vocab=9, depth=1, dim=8, heads=2, ff_dim=16,
                         emb_dim=6, max_len=6)
-    enc, dec = M.init_encoder_params(cfg, rng), M.init_decoder_params(cfg, rng)
+    enc, dec = M.init_params(cfg, "encoder", rng), M.init_params(cfg, "decoder", rng)
     params = {f"{side}.{k}": t for side, group in (("enc", enc), ("dec", dec))
               for k, t in group.items()}
     src = np.array([[1, 4, 5, 2], [1, 6, 2, 0]])
@@ -510,7 +518,7 @@ def test_second_backward_on_a_model_step_matches_two_graphs():
     cfg = M.ModelConfig(src_vocab=9, tgt_vocab=9, depth=1, dim=8, heads=2, ff_dim=16,
                         emb_dim=6, max_len=6)
     rng = np.random.default_rng(4)
-    enc, dec = M.init_encoder_params(cfg, rng), M.init_decoder_params(cfg, rng)
+    enc, dec = M.init_params(cfg, "encoder", rng), M.init_params(cfg, "decoder", rng)
     params = [*enc.tensors.values(), *dec.tensors.values()]
     src = np.array([[1, 4, 5, 4, 2], [1, 6, 2, 0, 0]])
     tgt = np.array([[1, 7, 8, 7, 2], [1, 5, 2, 0, 0]])
@@ -571,8 +579,8 @@ def test_backward_closures_hold_no_tensor(dropout):
     cfg = M.ModelConfig(src_vocab=55, tgt_vocab=54, depth=2, dim=64, heads=4, ff_dim=256,
                         emb_dim=64, max_len=12, proj_dim=32, dropout=dropout)
     rng = np.random.default_rng(13)
-    enc, dec = M.init_encoder_params(cfg, rng), M.init_decoder_params(cfg, rng)
-    proj = M.init_projection_params(cfg, rng)
+    enc, dec = M.init_params(cfg, "encoder", rng), M.init_params(cfg, "decoder", rng)
+    proj = M.init_params(cfg, "projection", rng)
     src, tgt = [], []
     for ids in (src, tgt):
         for L in rng.integers(3, 13, size=64):

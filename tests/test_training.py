@@ -146,8 +146,8 @@ def test_train_translation_zero_steps_equals_init():
     cfg, corpus, vs, vt = tiny_setup()
     ckpt = TR.train_translation(cfg, corpus, vs, vt, seed=5, steps=0)
     rng = np.random.default_rng(5)
-    enc = M.init_encoder_params(cfg, rng)
-    dec = M.init_decoder_params(cfg, rng)
+    enc = M.init_params(cfg, "encoder", rng)
+    dec = M.init_params(cfg, "decoder", rng)
     assert params_equal(ckpt.encoder, enc)
     assert params_equal(ckpt.decoder, dec)
     assert ckpt.step == 0 and ckpt.stage == "pretrain"
@@ -353,6 +353,28 @@ def test_stages_leave_their_start_checkpoint_unchanged():
     assert TR.checkpoint_bytes(ce) == ce_bytes
 
 
+def _group_bytes(group) -> list[bytes]:
+    return [t.values.tobytes() for _, t in group.items()]
+
+
+def test_stages_carry_the_groups_they_do_not_train():
+    cfg, corpus, vs, vt = tiny_setup()
+    pre = TR.train_translation(cfg, corpus, vs, vt, seed=5, steps=2, batch_size=8, warmup=2)
+    decoder_bytes = _group_bytes(pre.decoder)
+    ce = TR.context_enhance(pre, corpus, vs, TR.CEConfig(lam=5e-3, epochs=1, batch_size=8,
+                                                         proj_dim=4), seed=6)
+    assert ce.decoder is pre.decoder
+    assert _group_bytes(ce.decoder) == decoder_bytes
+    projection_bytes = _group_bytes(ce.projection)
+    for reuse_decoder in (False, True):
+        ft = TR.finetune_translation(ce, corpus, vs, vt, steps=2, seed=7, batch_size=8,
+                                     warmup=2, reuse_decoder=reuse_decoder)
+        assert ft.projection is ce.projection
+        assert ft.decoder is not ce.decoder      # trained, so copied
+        assert _group_bytes(ft.projection) == projection_bytes
+    assert _group_bytes(pre.decoder) == decoder_bytes
+
+
 # -- collapse monitor -----------------------------------------------------------------
 
 def test_collapse_monitor_flags_identical_rows():
@@ -420,7 +442,7 @@ def test_checkpoint_round_trip_bytes_and_outputs(tmp_path):
 
 def test_checkpoint_stage_constraints():
     cfg, corpus, vs, vt = tiny_setup()
-    enc = M.init_encoder_params(cfg, np.random.default_rng(0))
+    enc = M.init_params(cfg, "encoder", np.random.default_rng(0))
     with pytest.raises(ConfigError):
         TR.Checkpoint(cfg, "ce", 0, 0, enc)          # ce needs projection
     with pytest.raises(ConfigError):
@@ -474,9 +496,9 @@ def _small_checkpoint_bytes():
     cfg = M.ModelConfig(src_vocab=6, tgt_vocab=5, depth=1, dim=4, heads=2, ff_dim=4,
                         proj_dim=2, emb_dim=2, max_len=4)
     rng = np.random.default_rng(0)
-    ckpt = TR.Checkpoint(cfg, "finetune", 3, 7, M.init_encoder_params(cfg, rng),
-                         decoder=M.init_decoder_params(cfg, rng),
-                         projection=M.init_projection_params(cfg, rng))
+    ckpt = TR.Checkpoint(cfg, "finetune", 3, 7, M.init_params(cfg, "encoder", rng),
+                         decoder=M.init_params(cfg, "decoder", rng),
+                         projection=M.init_params(cfg, "projection", rng))
     return TR.checkpoint_bytes(ckpt)
 
 
