@@ -16,7 +16,7 @@ from __future__ import annotations
 import collections
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -128,24 +128,18 @@ def fit_probe(embeddings: np.ndarray, labels, languages: list[str]) -> ProbeClas
 @dataclass
 class ProtocolResult:
     """The accuracies a1, a2, a3 of one protocol run (see the module
-    docstring); ``summary()`` is the record the CLI and the bench emit."""
+    docstring); ``summary()`` is the record the CLI and the bench emit,
+    its keys in field order."""
 
+    variant: str
     a1: float
     a2: float
     a3: float
-    variant: str
-    languages: list[str]
     n_samples: int
+    languages: list[str]
 
     def summary(self) -> dict:
-        return {
-            "variant": self.variant,
-            "a1": self.a1,
-            "a2": self.a2,
-            "a3": self.a3,
-            "n_samples": self.n_samples,
-            "languages": self.languages,
-        }
+        return asdict(self)
 
 
 def run_protocol(baseline: np.ndarray, enhanced: np.ndarray, labels, seed: int,
@@ -167,7 +161,7 @@ def run_protocol(baseline: np.ndarray, enhanced: np.ndarray, labels, seed: int,
     a2 = c1.evaluate(enhanced[test_idx], test_labels)
     c2 = fit_probe(enhanced[train_idx], [labels[i] for i in train_idx], languages)
     a3 = c2.evaluate(enhanced[test_idx], test_labels)
-    return ProtocolResult(a1, a2, a3, variant, languages, len(labels))
+    return ProtocolResult(variant, a1, a2, a3, len(labels), languages)
 
 
 def run_centroid_protocol(embeddings: np.ndarray, labels, seed: int) -> ProtocolResult:
@@ -230,26 +224,27 @@ def greedy_decode(encoder, decoder, cfg: M.ModelConfig, src_ids: np.ndarray,
     """Greedy decoding of up to ``cfg.max_len`` positions, BOS included;
     returns per-row token ids between BOS and EOS, in the caller's row order.
 
-    Each step feeds only the newest token to the decoder. One
-    ``model.DecodeCache`` serves the batch: the first step splits the
-    cross-attention keys and values of the source into heads, and every
-    step writes its token's self-attention keys and values into buffers
-    sized to ``cfg.max_len``, so a step does only the newest token's work.
+    Each step feeds only the newest token to the decoder. The source is
+    encoded in the caller's order, then the latent rows are ordered by
+    source length, longest first (ties keep their order), and one
+    ``model.DecodeCache`` is built on that latent: it splits the
+    cross-attention keys and values of the source into heads once, and
+    every step writes its token's self-attention keys and values into
+    buffers sized to ``cfg.max_len``, so a step does only the newest
+    token's work.
 
-    The source is encoded in the caller's order, then the latent rows are
-    ordered by source length, longest first (ties keep their order). Each
-    step decodes only the running prefix: the rows up to the last one that
-    has not emitted EOS. When that prefix shrinks, the latent and the cache
-    narrow to it as views (``DecodeCache.narrow``), with no copy. A row
-    that stops inside the prefix stays and is fed PAD, as in a full-batch
-    loop, so every row's output is the one a full batch gives; the saving
-    is largest when output length follows source length.
+    Each step decodes only the running prefix: the rows up to the last one
+    that has not emitted EOS. When that prefix shrinks, the latent and the
+    cache narrow to it as views (``DecodeCache.narrow``), with no copy. A
+    row that stops inside the prefix stays and is fed PAD, as in a
+    full-batch loop, so every row's output is the one a full batch gives;
+    the saving is largest when output length follows source length.
     """
     latent = M.encode(src_ids, src_mask, encoder, cfg)
     order = np.argsort(-np.count_nonzero(latent.mask, axis=1), kind="stable")
     latent = M.LatentSequence(Tensor(latent.values.values[order]), latent.mask[order])
     n = len(order)
-    cache = M.DecodeCache()
+    cache = M.DecodeCache(latent, decoder, cfg)
     ys = np.full((n, cfg.max_len), PAD, dtype=np.int64)
     ys[:, 0] = BOS
     done = np.zeros(n, dtype=bool)

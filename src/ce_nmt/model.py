@@ -27,7 +27,7 @@ so any change confined to padding leaves unmasked outputs bitwise unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -122,6 +122,8 @@ def param_layout(cfg: ModelConfig, group: str) -> list[tuple[str, tuple[int, ...
     of the init and the tensor order of a checkpoint. Init kinds: "normal"
     (std emb_dim^-1/2), "glorot" (uniform), "ones", "zeros".
     """
+    if group not in GROUPS:
+        raise ConfigError(f"parameter group must be one of {GROUPS}, got {group!r}")
     h = cfg.dim
     if group == "projection":
         d = cfg.proj_dim
@@ -179,14 +181,14 @@ class LatentSequence:
     mask: np.ndarray
 
 
-@dataclass
 class DecodeCache:
     """What incremental ``decode`` calls on one batch carry between them.
 
-    ``length`` target positions are decoded so far. The first call builds
-    the rest for its batch of B rows, in the latent's dtype (a float32 run
-    decodes in float32), and later calls write only their own positions
-    into it:
+    ``DecodeCache(latent, params, cfg)`` builds everything for the latent's
+    batch of B rows, in the latent's dtype (a float32 run decodes in
+    float32), and each ``decode`` call writes only its own positions into
+    it:
+      - ``length``: target positions decoded so far, 0 at first;
       - ``key_mask`` (B, max_len): the target key mask, valid up to ``length``;
       - ``positions`` (max_len, dim): the sinusoidal encodings;
       - ``self_kv``: per layer, self-attention keys (B·heads, head_dim,
@@ -194,7 +196,7 @@ class DecodeCache:
         ``length``;
       - ``cross_kv``: per layer, the latent's cross-attention keys (B·heads,
         head_dim, src_len) and values (B·heads, src_len, head_dim), split
-        into heads once.
+        into heads here, once.
     Keys are stored transposed, so both are in the layouts the attention
     products read (``numerics.attend_cached``). Cached decoding runs under
     ``numerics.no_grad()``, so no gradient can flow through the cache.
@@ -203,11 +205,17 @@ class DecodeCache:
     so ``narrow`` can drop the last rows of a batch without copying.
     """
 
-    length: int = 0
-    key_mask: np.ndarray | None = None
-    positions: np.ndarray | None = None
-    self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    cross_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    def __init__(self, latent: LatentSequence, params: ParamGroup, cfg: ModelConfig):
+        B, hd, dtype = latent.values.shape[0], cfg.dim // cfg.heads, latent.values.dtype
+        self.length = 0
+        self.key_mask = np.zeros((B, cfg.max_len), dtype=bool)
+        self.positions = sinusoidal_positions(cfg.max_len, cfg.dim, dtype)
+        self.self_kv = [(np.empty((B * cfg.heads, hd, cfg.max_len), dtype),
+                         np.empty((B * cfg.heads, cfg.max_len, hd), dtype))
+                        for _ in range(cfg.depth)]
+        self.cross_kv = [tuple(np.ascontiguousarray(a) for a in
+                               _heads_kv(latent.values, params, f"layer{i}.cross", cfg.heads))
+                         for i in range(cfg.depth)]
 
     def narrow(self, n: int) -> None:
         """Keep the first ``n`` batch rows: the key mask and every self- and
@@ -265,21 +273,6 @@ def _heads_kv(x: Tensor, params: ParamGroup, prefix: str, heads: int) -> tuple[n
     return np.transpose(N.split_heads(k.values, heads), (0, 2, 1)), N.split_heads(v.values, heads)
 
 
-def _open_cache(cache: DecodeCache, latent: LatentSequence, params: ParamGroup,
-                cfg: ModelConfig) -> None:
-    """Size ``cache`` for the latent's batch and split its cross-attention
-    keys and values into heads, once."""
-    B, hd, dtype = latent.values.shape[0], cfg.dim // cfg.heads, latent.values.dtype
-    cache.key_mask = np.zeros((B, cfg.max_len), dtype=bool)
-    cache.positions = sinusoidal_positions(cfg.max_len, cfg.dim, dtype)
-    cache.self_kv = [(np.empty((B * cfg.heads, hd, cfg.max_len), dtype),
-                      np.empty((B * cfg.heads, cfg.max_len, hd), dtype))
-                     for _ in range(cfg.depth)]
-    cache.cross_kv = [tuple(np.ascontiguousarray(a) for a in
-                            _heads_kv(latent.values, params, f"layer{i}.cross", cfg.heads))
-                      for i in range(cfg.depth)]
-
-
 def _ff(x: Tensor, params: ParamGroup, prefix: str, rows: N.RowLayout | None = None) -> Tensor:
     hidden = N.relu(N.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"], rows))
     return N.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"], rows)
@@ -299,6 +292,14 @@ def _embed_inputs(ids: np.ndarray, pe: np.ndarray, params: ParamGroup, cfg: Mode
     return _dropout(x, cfg.dropout, rng, rows)
 
 
+def _ids_and_mask(ids, mask) -> tuple[np.ndarray, np.ndarray]:
+    """``ids`` and a boolean ``mask`` as arrays, checked to be matching (B, t)."""
+    ids, mask = np.asarray(ids), np.asarray(mask, dtype=bool)
+    if ids.shape != mask.shape or ids.ndim != 2:
+        raise ConfigError(f"ids shape {ids.shape} and mask shape {mask.shape} must match (B, t)")
+    return ids, mask
+
+
 def encode(src_ids: np.ndarray, src_mask: np.ndarray, params: ParamGroup,
            cfg: ModelConfig, rng: np.random.Generator | None = None) -> LatentSequence:
     """Map source token ids (B, t) to latent states (B, t, dim), exactly 0.0 at PAD.
@@ -310,10 +311,7 @@ def encode(src_ids: np.ndarray, src_mask: np.ndarray, params: ParamGroup,
     zero-padded (B, t, dim) layout. PAD tokens never enter the arithmetic,
     so their ids are never read.
     """
-    src_ids = np.asarray(src_ids)
-    src_mask = np.asarray(src_mask, dtype=bool)
-    if src_ids.shape != src_mask.shape or src_ids.ndim != 2:
-        raise ConfigError(f"ids shape {src_ids.shape} and mask shape {src_mask.shape} must match (B, t)")
+    src_ids, src_mask = _ids_and_mask(src_ids, src_mask)
     t = src_ids.shape[1]
     if t > cfg.max_len:
         raise ConfigError(f"sequence length {t} exceeds max_len {cfg.max_len}")
@@ -339,15 +337,14 @@ def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
     Returns logits (B, t2, tgt_vocab). Logits at position j depend only on
     target positions <= j and on unmasked source positions.
 
-    With a ``cache`` (only under ``numerics.no_grad()``), ``tgt_ids`` and
-    ``tgt_mask`` are the positions after the ``cache.length`` already
-    decoded ones. The first call on a cache splits the latent's
-    cross-attention keys and values into heads; every call writes its own
-    positions' self-attention keys, values and key mask into the cache's
-    buffers and attends to the head-major arrays there through
-    ``numerics.attend_cached``, the forward of ``multi_head_attention``
-    (see ``DecodeCache``). Logits agree with one uncached call on the whole
-    prefix to rounding, not bitwise.
+    With a ``cache`` built on this latent (only under ``numerics.no_grad()``),
+    ``tgt_ids`` and ``tgt_mask`` are the positions after the ``cache.length``
+    already decoded ones. Each call writes its own positions' self-attention
+    keys, values and key mask into the cache's buffers and attends to the
+    head-major arrays there, the cross-attention keys and values the cache
+    split at construction included, through ``numerics.attend_cached``, the
+    forward of ``multi_head_attention`` (see ``DecodeCache``). Logits agree
+    with one uncached call on the whole prefix to rounding, not bitwise.
 
     A prefix longer than ``cfg.max_len`` in all, cached or not, raises
     ``ConfigError``, as a longer source does in ``encode``; so does a
@@ -356,10 +353,7 @@ def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
     Each layer runs self-attention before cross-attention, so inside
     ``numerics.attention_maps()`` the maps alternate self, cross, layer by
     layer; ``evaluation.export_diagnostics`` relies on that order."""
-    tgt_ids = np.asarray(tgt_ids)
-    tgt_mask = np.asarray(tgt_mask, dtype=bool)
-    if tgt_ids.shape != tgt_mask.shape or tgt_ids.ndim != 2:
-        raise ConfigError(f"ids shape {tgt_ids.shape} and mask shape {tgt_mask.shape} must match (B, t)")
+    tgt_ids, tgt_mask = _ids_and_mask(tgt_ids, tgt_mask)
     B, t2 = tgt_ids.shape
     if B != latent.values.shape[0]:
         raise ConfigError(f"batch mismatch: latent has {latent.values.shape[0]} rows, target has {B}")
@@ -376,9 +370,7 @@ def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
         pe = sinusoidal_positions(t2, cfg.dim)
         self_mask = np.tril(np.ones((t2, t2), dtype=bool))[None, :, :] & tgt_mask[:, None, :]
     else:
-        if start == 0:
-            _open_cache(cache, latent, params, cfg)
-        elif cache.key_mask.shape[0] != B:
+        if cache.key_mask.shape[0] != B:
             raise ConfigError(f"the cache serves a batch of {cache.key_mask.shape[0]} rows, "
                               f"this call has {B}")
         cache.key_mask[:, start:end] = tgt_mask

@@ -22,8 +22,10 @@ Conventions:
     cached decoding under ``no_grad()``, splits only the queries and reads
     keys and values already stored head-major. So the attention arithmetic
     exists once and both give the same bits on the same keys and values,
-  - ``layer_norm`` and ``batch_norm_train`` add the constants ``LN_EPS``
-    and ``BN_EPS`` (both 1e-5) to the variance; no caller sets another,
+  - ``layer_norm`` (last axis) and ``batch_norm_train`` (axis 0) run one
+    standardization kernel, ``_standardize`` and its gradient, with the
+    bits of ``np.mean`` and ``np.var``; both add ``NORM_EPS`` (1e-5) to the
+    variance, and no caller sets another,
   - boolean masks are plain numpy arrays, never Tensors,
   - inside ``no_grad()`` operations record no tape: results have no parents,
   - the tape is made of nodes, not Tensors: a Tensor is its ``values`` plus
@@ -77,8 +79,7 @@ from .errors import (
 )
 
 _FLOATS = (np.float32, np.float64)
-LN_EPS = 1e-5    # added to the variance in ``layer_norm``
-BN_EPS = 1e-5    # added to the variance in ``batch_norm_train``
+NORM_EPS = 1e-5    # added to the variance in ``layer_norm`` and ``batch_norm_train``
 
 
 class _ThreadState(threading.local):
@@ -572,36 +573,44 @@ def attend_cached(q: Tensor, k3t: np.ndarray, v3: np.ndarray, mask: np.ndarray,
 # -- normalization -------------------------------------------------------------
 
 
-def _mean_last(a: np.ndarray) -> np.ndarray:
-    """``a.mean(axis=-1, keepdims=True)`` computed as numpy computes it: a
-    sum, then an in-place division by the ``np.intp`` count."""
-    total = a.sum(axis=-1, keepdims=True)
-    return np.true_divide(total, np.intp(a.shape[-1]), out=total, casting="unsafe")
+def _mean(a: np.ndarray, axis: int) -> np.ndarray:
+    """``a.mean(axis=axis, keepdims=True)`` computed as ``np.mean`` and
+    ``np.var`` compute it: a sum, then an in-place division by the
+    ``np.intp`` count."""
+    total = a.sum(axis=axis, keepdims=True)
+    return np.true_divide(total, np.intp(a.shape[axis]), out=total, casting="unsafe")
+
+
+def _standardize(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero mean and unit variance along ``axis``: (xhat, inv), where ``inv``
+    is 1 / sqrt(var + NORM_EPS). The mean is computed once and ``values -
+    mean`` serves both the variance and ``xhat``, with the bits of
+    ``np.mean`` and ``np.var``."""
+    centered = values - _mean(values, axis)
+    inv = 1.0 / np.sqrt(_mean(np.square(centered), axis) + NORM_EPS)
+    return np.multiply(centered, inv, out=centered), inv
+
+
+def _standardize_grad(gx: np.ndarray, xhat: np.ndarray, inv: np.ndarray, axis: int) -> np.ndarray:
+    """The input gradient of ``_standardize`` for the gradient ``gx`` of
+    ``xhat``, written into ``gx``: the caller passes an array it owns."""
+    mean_gx = _mean(gx, axis)
+    prod = gx * xhat
+    mean_prod = _mean(prod, axis)
+    np.subtract(gx, mean_gx, out=gx)
+    np.subtract(gx, np.multiply(xhat, mean_prod, out=prod), out=gx)
+    return np.multiply(gx, inv, out=gx)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
-
-    The mean is computed once and ``x - mean`` serves both the variance and
-    the normalized values, with the same arithmetic as ``np.mean`` and
-    ``np.var``. In-place writes go only into this op's own temporaries.
-    """
-    centered = x.values - _mean_last(x.values)
-    var = _mean_last(np.square(centered))
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = np.multiply(centered, inv, out=centered)
+    """Standardize the last axis (``_standardize``), then gain and bias."""
+    xhat, inv = _standardize(x.values, -1)
     gv = gain.values
     out_values = xhat * gv + bias.values
     nx, ngain, nbias = x._node, gain._node, bias._node
 
     def backward(g):
-        gx = g * gv
-        mean_gx = _mean_last(gx)
-        prod = gx * xhat
-        mean_prod = _mean_last(prod)
-        np.subtract(gx, mean_gx, out=gx)
-        np.subtract(gx, np.multiply(xhat, mean_prod, out=prod), out=gx)
-        _accumulate(nx, np.multiply(gx, inv, out=gx))
+        _accumulate(nx, _standardize_grad(g * gv, xhat, inv, -1))
         lead = tuple(range(g.ndim - 1))
         _accumulate(ngain, (g * xhat).sum(axis=lead))
         _accumulate(nbias, g.sum(axis=lead))
@@ -620,16 +629,11 @@ def batch_norm_train(x: Tensor) -> Tensor:
     B = x.shape[0]
     if B < 2:
         raise BatchTooSmallError(f"batch_norm_train requires B >= 2, got B={B}")
-    mu = x.values.mean(axis=0, keepdims=True)
-    var = x.values.var(axis=0, keepdims=True)
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.values - mu) * inv
+    xhat, inv = _standardize(x.values, 0)
     nx = x._node
 
     def backward(g):
-        term = g - g.mean(axis=0, keepdims=True) \
-            - xhat * (g * xhat).mean(axis=0, keepdims=True)
-        _accumulate(nx, term * inv)
+        _accumulate(nx, _standardize_grad(g.copy(), xhat, inv, 0))
 
     return _result(xhat, (nx,), backward)
 

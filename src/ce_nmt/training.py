@@ -271,17 +271,11 @@ class Checkpoint:
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
-def _write_array(buf: io.BytesIO, name: str, values: np.ndarray) -> None:
+def _record_head(name: str, shape: tuple[int, ...]) -> bytes:
+    """The head of a tensor record, which its float32 payload follows: a
+    uint32 name length, the UTF-8 name, a uint32 rank and uint32 dims."""
     encoded = name.encode("utf-8")
-    buf.write(struct.pack("<I", len(encoded)))
-    buf.write(encoded)
-    buf.write(struct.pack("<I", values.ndim))
-    for dim in values.shape:
-        buf.write(struct.pack("<I", dim))
-    # Clamp into float32 range so even diverged diagnostic checkpoints stay
-    # finite and loadable.
-    clamped = np.clip(values, -_F32_MAX, _F32_MAX)
-    buf.write(np.ascontiguousarray(clamped, dtype="<f4").tobytes())
+    return struct.pack(f"<I{len(encoded)}sI{len(shape)}I", len(encoded), encoded, len(shape), *shape)
 
 
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
@@ -307,7 +301,11 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     buf.write(header_bytes)
     for group_name, group in groups:
         for name, tensor in group.items():
-            _write_array(buf, f"{group_name}.{name}", tensor.values)
+            buf.write(_record_head(f"{group_name}.{name}", tensor.shape))
+            # Clamp into float32 range so even diverged diagnostic
+            # checkpoints stay finite and loadable.
+            clamped = np.clip(tensor.values, -_F32_MAX, _F32_MAX)
+            buf.write(np.ascontiguousarray(clamped, dtype="<f4").tobytes())
     return buf.getvalue()
 
 
@@ -386,8 +384,8 @@ def parse_checkpoint(raw: bytes, dtype=np.float64, source="checkpoint") -> Check
         tensors = {}
         for name, shape, _ in M.param_layout(cfg, group_name):
             full = f"{group_name}.{name}"
-            if reader.take(reader.uint()) != full.encode("utf-8") or reader.uint() != len(shape) \
-                    or tuple(reader.uint() for _ in shape) != shape:
+            head = _record_head(full, shape)
+            if reader.take(len(head)) != head:
                 raise ConfigError(f"{source}: expected tensor {full} of shape {shape}")
             count = math.prod(shape)
             values = np.frombuffer(reader.take(4 * count), dtype="<f4").reshape(shape)

@@ -14,7 +14,8 @@ path must reproduce bit for bit:
   the package, because no model path runs them. They are built on the
   package's ``_result`` and ``_accumulate``, so their tape behaves like the
   package's own, and the tests also use them to build grad-check objectives.
-- ``layer_norm_reference`` is layer norm with ``np.mean`` and ``np.var``.
+- ``layer_norm_reference`` is layer norm with ``np.mean`` and ``np.var``,
+  and ``batch_norm_reference`` is batch norm with them.
 - ``encode_reference`` is the encoder on the padded (B, t) layout, PAD rows
   included, that the packed ``model.encode`` replaces.
 - ``build_vocab_reference`` is the per-sentence counting loop that the
@@ -270,6 +271,17 @@ def layer_norm_reference(x, gain, bias, g, eps=1e-5):
         - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
     lead = tuple(range(g.ndim - 1))
     return out, term * inv, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+def batch_norm_reference(x, g, eps=1e-5):
+    """Batch norm over axis 0 with ``np.mean`` / ``np.var``, and its input
+    gradient for the upstream gradient ``g``: (out, d_x)."""
+    mu = x.mean(axis=0, keepdims=True)
+    var = x.var(axis=0, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    term = g - g.mean(axis=0, keepdims=True) - xhat * (g * xhat).mean(axis=0, keepdims=True)
+    return xhat, term * inv
 
 
 def encode_reference(src_ids, src_mask, params, cfg, rng=None):

@@ -457,6 +457,27 @@ def test_eval_centroid_reports_sentence_and_word(pipeline_out, capsys):
     assert "a1" in payload["sentence"] and "a1" in payload["word"]
 
 
+# sha256 of the probe records `eval` writes from the `pipeline_out` run, taken
+# with the BLAS build of the pipeline pins above. The JSON field order is part
+# of the bytes.
+PINNED_EVAL_SHA256 = {
+    "classify.json": "07eb336a6b9c631130e215b08740e6406b9ba06d7a7d2c5012245f4e6c5c09d4",
+    "centroid.json": "356ad6e9c3cf4f53da985605d9009a404d3830c8afe6803495b96c02b2419ad8",
+}
+
+
+def test_eval_probe_records_match_pinned_sha256(pipeline_out):
+    tmp, src, tgt, out = pipeline_out
+    base = next(out.glob("pretrain-*.ckpt"))
+    ce = next(out.glob("ce-*.ckpt"))
+    for mode, extra in (("classify", ["--baseline-checkpoint", str(base)]), ("centroid", [])):
+        assert cli.main(["eval", "--mode", mode, "--checkpoint", str(ce), *extra, "--source", src,
+                         "--target", tgt, "--out", str(out / "eval"), "--seed", "6"]) == 0
+    got = {name: hashlib.sha256((out / "eval" / name).read_bytes()).hexdigest()
+           for name in PINNED_EVAL_SHA256}
+    assert got == PINNED_EVAL_SHA256
+
+
 def test_eval_diagnostics_creates_files(pipeline_out):
     tmp, src, tgt, out = pipeline_out
     ckpt = next(out.glob("finetune-*.ckpt"))

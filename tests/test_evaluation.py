@@ -297,7 +297,7 @@ def test_greedy_decode_float32_matches_reference_and_stays_float32():
         bos = np.full((16, 1), BOS, dtype=np.int64)
         with N.no_grad():
             latent = M.encode(src_ids, src_ids != PAD, enc, cfg)
-            cache = M.DecodeCache()
+            cache = M.DecodeCache(latent, dec, cfg)
             for step in range(3):
                 logits = M.decode(latent, bos + step, bos != PAD, dec, cfg, cache=cache)
                 assert logits.dtype == np.float32

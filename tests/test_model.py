@@ -64,6 +64,15 @@ def test_init_params_follows_param_layout():
         assert all(t.dtype == np.float32 for _, t in params.items())
 
 
+@pytest.mark.parametrize("group", ["pooler", "Decoder", ""])
+def test_param_layout_rejects_unknown_group(group):
+    cfg = small_config()
+    with pytest.raises(ConfigError, match="group"):
+        M.param_layout(cfg, group)
+    with pytest.raises(ConfigError, match="group"):
+        M.init_params(cfg, group, np.random.default_rng(0))
+
+
 def test_init_params_embedding_table():
     cfg = small_config()
     table = np.arange(cfg.src_vocab * cfg.emb_dim, dtype=np.float64).reshape(cfg.src_vocab, -1)
@@ -244,9 +253,9 @@ def test_decode_source_pad_invariance(setup):
 
 def _decode_in_chunks(latent, tgt_ids, tgt_mask, dec, cfg, cuts):
     """Logits of one cached ``decode`` call per chunk of the target, joined."""
-    cache = M.DecodeCache()
     bounds = [0, *cuts, tgt_ids.shape[1]]
     with N.no_grad():
+        cache = M.DecodeCache(latent, dec, cfg)
         parts = [M.decode(latent, tgt_ids[:, lo:hi], tgt_mask[:, lo:hi], dec, cfg,
                           cache=cache).values
                  for lo, hi in zip(bounds, bounds[1:])]
@@ -280,9 +289,9 @@ def test_cached_decode_checks(setup):
     latent = M.encode(src_ids, src_mask, enc, cfg)
     bos = np.full((3, 1), BOS, dtype=np.int64)
     with pytest.raises(ConfigError, match="no_grad"):
-        M.decode(latent, bos, bos != PAD, dec, cfg, cache=M.DecodeCache())
-    cache = M.DecodeCache()
+        M.decode(latent, bos, bos != PAD, dec, cfg, cache=M.DecodeCache(latent, dec, cfg))
     with N.no_grad():
+        cache = M.DecodeCache(latent, dec, cfg)
         with pytest.raises(ConfigError, match="BOS"):
             M.decode(latent, bos + 4, bos != PAD, dec, cfg, cache=cache)
         M.decode(latent, bos, bos != PAD, dec, cfg, cache=cache)
@@ -306,8 +315,8 @@ def test_decode_rejects_target_beyond_max_len(setup):
         M.decode(latent, tgt, tgt != PAD, dec, cfg)
     with N.no_grad():
         with pytest.raises(ConfigError, match="max_len"):
-            M.decode(latent, tgt, tgt != PAD, dec, cfg, cache=M.DecodeCache())
-        cache = M.DecodeCache()
+            M.decode(latent, tgt, tgt != PAD, dec, cfg, cache=M.DecodeCache(latent, dec, cfg))
+        cache = M.DecodeCache(latent, dec, cfg)
         for j in range(cfg.max_len):
             M.decode(latent, tgt[:, j:j + 1], tgt[:, j:j + 1] != PAD, dec, cfg, cache=cache)
         with pytest.raises(ConfigError, match=f"length {cfg.max_len + 1} exceeds max_len"):
@@ -319,9 +328,10 @@ def test_cached_decode_rejects_another_batch_size(setup):
     cfg, rng, enc, dec, _ = setup
     src_ids, src_mask = random_batch(rng, cfg)
     bos = np.full((3, 1), BOS, dtype=np.int64)
-    cache = M.DecodeCache()
     with N.no_grad():
-        M.decode(M.encode(src_ids, src_mask, enc, cfg), bos, bos != PAD, dec, cfg, cache=cache)
+        latent = M.encode(src_ids, src_mask, enc, cfg)
+        cache = M.DecodeCache(latent, dec, cfg)
+        M.decode(latent, bos, bos != PAD, dec, cfg, cache=cache)
         smaller = M.encode(src_ids[:2], src_mask[:2], enc, cfg)
         with pytest.raises(ConfigError, match=r"batch of 3 rows, this call has 2"):
             M.decode(smaller, bos[:2] + 4, bos[:2] != PAD, dec, cfg, cache=cache)
@@ -448,7 +458,8 @@ def test_attention_maps_of_decode_alternate_self_and_cross(setup):
         assert (cross_map * ~src_mask[:, None, None, :] == 0.0).all()
     # Cached decoding records through ``attend_cached``, in the same order.
     with N.no_grad(), N.attention_maps() as cached:
-        M.decode(latent, tgt[:, :1], tgt_mask[:, :1], dec, cfg, cache=M.DecodeCache())
+        cache = M.DecodeCache(latent, dec, cfg)
+        M.decode(latent, tgt[:, :1], tgt_mask[:, :1], dec, cfg, cache=cache)
     assert [m.shape for m in cached] == [(3, cfg.heads, 1, 1), (3, cfg.heads, 1, 6)] * cfg.depth
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from _oracles import (
     attention_reference,
+    batch_norm_reference,
     layer_norm_reference,
     linear_reference,
     masked_softmax,
@@ -109,7 +110,7 @@ def test_layer_norm_constant_row_is_zero():
 
 def test_layer_norm_already_normalized_row():
     out = N.layer_norm(T([[1.0, -1.0]]), T(np.ones(2)), T(np.zeros(2))).values
-    assert np.max(np.abs(out - np.array([[1.0, -1.0]]) / np.sqrt(1.0 + N.LN_EPS))) < 1e-12
+    assert np.max(np.abs(out - np.array([[1.0, -1.0]]) / np.sqrt(1.0 + N.NORM_EPS))) < 1e-12
 
 
 def test_layer_norm_matches_direct_oracle():
@@ -117,7 +118,7 @@ def test_layer_norm_matches_direct_oracle():
     x = rng.normal(size=(1, 9))
     gain = rng.normal(size=9)
     bias = rng.normal(size=9)
-    expected = (x - x.mean()) / np.sqrt(x.var() + N.LN_EPS) * gain + bias
+    expected = (x - x.mean()) / np.sqrt(x.var() + N.NORM_EPS) * gain + bias
     got = N.layer_norm(T(x), T(gain), T(bias)).values
     assert np.max(np.abs(got - expected)) < 1e-10
 
@@ -293,7 +294,7 @@ def test_fused_ops_reject_bad_shapes():
 
 def test_batch_norm_already_standardized():
     out = N.batch_norm_train(T([[1.0], [-1.0]])).values
-    assert np.max(np.abs(out - np.array([[1.0], [-1.0]]) / np.sqrt(1.0 + N.BN_EPS))) < 1e-12
+    assert np.max(np.abs(out - np.array([[1.0], [-1.0]]) / np.sqrt(1.0 + N.NORM_EPS))) < 1e-12
 
 
 def test_batch_norm_constant_column_zeroed():
@@ -307,7 +308,20 @@ def test_batch_norm_output_statistics():
     out = N.batch_norm_train(T(x)).values
     assert np.max(np.abs(out.mean(axis=0))) < 1e-10
     var = x.var(axis=0)
-    assert np.max(np.abs(out.var(axis=0) - var / (var + N.BN_EPS))) < 1e-12
+    assert np.max(np.abs(out.var(axis=0) - var / (var + N.NORM_EPS))) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batch_norm_matches_mean_var_formula_bitwise(dtype):
+    rng = np.random.default_rng(7)
+    for B, d in [(2, 1), (3, 5), (17, 8), (64, 32), (129, 69)]:
+        x = (rng.normal(size=(B, d)) * 3.0 + 1.5).astype(dtype)
+        upstream = rng.normal(size=(B, d)).astype(dtype)
+        leaf = N.Tensor(x.copy(), requires_grad=True)
+        out = N.batch_norm_train(leaf)
+        tsum(out * upstream).backward()
+        for got, want in zip((out.values, leaf.grad), batch_norm_reference(x, upstream)):
+            assert got.dtype == dtype and got.tobytes() == want.astype(dtype).tobytes()
 
 
 def test_batch_norm_rejects_single_row():

@@ -11,7 +11,7 @@ import importlib
 import inspect
 
 MODULES = ("cli", "data", "evaluation", "losses", "model", "numerics", "synthetic", "training")
-SETTABLE_VALUES_BUDGET = 168
+SETTABLE_VALUES_BUDGET = 163
 
 
 def _defaulted(fn) -> list[str]:
