@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from . import training as TR
 from .data import ParallelCorpus, Vocabulary, build_vocab, load_parallel_corpus, \
     load_pretrained_embeddings, read_utf8_lines
 from .errors import CENMTError, CollapseError, ConfigError, CorpusFormatError, DivergenceError
-from .model import ModelConfig
+from .model import POOLING_KINDS, ModelConfig
 
 log = logging.getLogger("ce_nmt")
 
@@ -35,6 +36,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_COLLAPSE = 3
 EXIT_DIVERGENCE = 4
+
+# the encoder's and the decoder's vocabulary, written next to each checkpoint
+VOCAB_FILES = ("vocab.src.txt", "vocab.tgt.txt")
 
 
 def _opt(default, help: str, key: str | None = None, choices: tuple[str, ...] | None = None):
@@ -63,7 +67,7 @@ class RunConfig:
     ff_dim: int = _opt(0, "feed-forward width (0 = 4*dim)")
     emb_dim: int = _opt(64, "token embedding width")
     proj_dim: int = _opt(32, "projection output width")
-    pooling: str = _opt("mean", "sentence pooling kind", choices=("mean", "max"))
+    pooling: str = _opt("mean", "sentence pooling kind", choices=POOLING_KINDS)
     dropout: float = _opt(0.0, "dropout rate")
     max_len: int = _opt(32, "max encoded sentence length")
     min_freq: int = _opt(1, "vocabulary frequency cutoff")
@@ -87,7 +91,6 @@ class RunConfig:
 
 # config-file key -> field, in declaration order
 _FIELDS = {f.metadata["key"] or f.name: f for f in dataclasses.fields(RunConfig)}
-_KEY_TO_ATTR = {key: f.name for key, f in _FIELDS.items()}
 
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
@@ -101,8 +104,8 @@ _RANGES = {"seed": (">=", 0), "steps": (">=", 0), "finetune_steps": (">=", -1),
 
 def _convert(f: dataclasses.Field, text: str):
     """Parse a flag or config-file value for field ``f``: the type of its
-    default (str when that is None), booleans by word, its choices and its
-    range in ``_RANGES``. Raises ValueError on bad input."""
+    default (str when that is None), booleans by word, finite floats, its
+    choices and its range in ``_RANGES``. Raises ValueError on bad input."""
     kind = str if f.default is None else type(f.default)
     if kind is bool:
         if text.lower() not in _TRUE | _FALSE:
@@ -112,6 +115,8 @@ def _convert(f: dataclasses.Field, text: str):
         value = kind(text)
     except ValueError:
         raise ValueError(f"invalid {kind.__name__} value: {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
     choices = f.metadata["choices"]
     if choices and value not in choices:
         raise ValueError(f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
@@ -188,10 +193,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     values: dict[str, object] = {}
     if args.config is not None:
         values.update(parse_config_file(args.config))
-    for attr in _KEY_TO_ATTR.values():
-        cli_value = getattr(args, attr, None)
+    for f in _FIELDS.values():
+        cli_value = getattr(args, f.name, None)
         if cli_value is not None:
-            values[attr] = cli_value
+            values[f.name] = cli_value
     return RunConfig(**values)
 
 
@@ -219,12 +224,10 @@ def _build_vocabs(cfg: RunConfig, corpus: ParallelCorpus) -> tuple[Vocabulary, V
     return vocab_src, vocab_tgt
 
 
-def _model_config(cfg: RunConfig, vocab_src: Vocabulary, vocab_tgt: Vocabulary) -> ModelConfig:
-    return ModelConfig(
-        src_vocab=len(vocab_src), tgt_vocab=len(vocab_tgt), depth=cfg.depth, dim=cfg.dim,
-        heads=cfg.heads, ff_dim=cfg.ff_dim, proj_dim=cfg.proj_dim, pooling=cfg.pooling,
-        emb_dim=cfg.emb_dim, dropout=cfg.dropout, max_len=cfg.max_len,
-    )
+def _from_run(cls, cfg: RunConfig, **given):
+    """``cls(**given)``, its other fields taken from ``cfg``'s fields of the same name."""
+    return cls(**given, **{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)
+                           if f.name not in given})
 
 
 def _embed_table(cfg: RunConfig, vocab_src: Vocabulary) -> np.ndarray | None:
@@ -235,11 +238,6 @@ def _embed_table(cfg: RunConfig, vocab_src: Vocabulary) -> np.ndarray | None:
     log.info("loaded embeddings: %d hits, %d misses (coverage %.1f%%)",
              report.hits, report.misses, 100 * report.coverage)
     return table
-
-
-def _ce_config(cfg: RunConfig) -> TR.CEConfig:
-    return TR.CEConfig(lam=cfg.lam, epochs=cfg.epochs, batch_size=cfg.batch_size,
-                       pooling=cfg.pooling, proj_dim=cfg.proj_dim)
 
 
 def _load_checkpoint_arg(cfg: RunConfig, attr: str = "checkpoint") -> TR.Checkpoint:
@@ -265,7 +263,7 @@ def _open_run(cfg: RunConfig, from_checkpoint: bool):
     if from_checkpoint:
         ckpt = _load_checkpoint_arg(cfg)
         folder = Path(cfg.checkpoint).parent
-        src, tgt = folder / "vocab.src.txt", folder / "vocab.tgt.txt"
+        src, tgt = (folder / name for name in VOCAB_FILES)
         if not src.exists() or not tgt.exists():
             raise ConfigError(f"vocabulary files not found next to checkpoint in {folder}")
         vocab_src, vocab_tgt = Vocabulary.load(src), Vocabulary.load(tgt)
@@ -280,8 +278,8 @@ def _save_vocabs(cfg: RunConfig, vocab_src: Vocabulary, vocab_tgt: Vocabulary) -
     """Create ``--out`` and write both vocabularies into it."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    vocab_src.save(out / "vocab.src.txt")
-    vocab_tgt.save(out / "vocab.tgt.txt")
+    for vocab, name in zip((vocab_src, vocab_tgt), VOCAB_FILES):
+        vocab.save(out / name)
     return out
 
 
@@ -321,8 +319,9 @@ def cmd_stages(cfg: RunConfig, stages: tuple[str, ...]) -> int:
                           "(train, pipeline): it trains a fresh model")
     from_checkpoint = stages[0] == "finetune" or (stages[0] == "ce" and bool(cfg.checkpoint))
     corpus, start, vocab_src, vocab_tgt = _open_run(cfg, from_checkpoint)
-    model_cfg = _model_config(cfg, vocab_src, vocab_tgt) if start is None else start.config
-    ce_cfg = _ce_config(cfg) if "ce" in stages else None
+    model_cfg = start.config if start is not None else \
+        _from_run(ModelConfig, cfg, src_vocab=len(vocab_src), tgt_vocab=len(vocab_tgt))
+    ce_cfg = _from_run(TR.CEConfig, cfg) if "ce" in stages else None
     embed_table = _embed_table(cfg, vocab_src) if start is None else None
     out = _save_vocabs(cfg, vocab_src, vocab_tgt)
     result = TR.run_pipeline(
@@ -338,35 +337,34 @@ def cmd_stages(cfg: RunConfig, stages: tuple[str, ...]) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
+    """Run ``--mode``. Diagnostics writes CSV files; every other mode writes
+    its record as ``<mode>.json`` into ``--out`` and prints it, bleu as
+    ``BLEU <score>``."""
     _require(cfg, "mode")
     corpus, ckpt, vocab_src, vocab_tgt = _open_run(cfg, from_checkpoint=True)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    if cfg.mode == "diagnostics":
+        files = E.export_diagnostics(ckpt, corpus, vocab_src, out, vocab_tgt=vocab_tgt,
+                                     batch_size=min(cfg.batch_size, 8))
+        print(f"wrote {len(files)} diagnostic files to {out}")
+        return EXIT_OK
+
     if cfg.mode == "bleu":
         hyps = E.translate_corpus(ckpt, corpus, vocab_src, vocab_tgt,
                                   batch_size=cfg.batch_size)
-        refs = [list(p.target) for p in corpus]
-        score = E.bleu(hyps, refs)
-        (out / "bleu.json").write_text(json.dumps({"bleu": score}) + "\n")
-        print(f"BLEU {score:.2f}")
-        return EXIT_OK
-
-    if cfg.mode == "classify":
+        payload = {"bleu": E.bleu(hyps, [list(p.target) for p in corpus])}
+    elif cfg.mode == "classify":
         baseline_ckpt = _load_checkpoint_arg(cfg, "baseline_checkpoint")
-        _check_vocab_size(Path(cfg.checkpoint).parent / "vocab.src.txt", vocab_src,
+        _check_vocab_size(Path(cfg.checkpoint).parent / VOCAB_FILES[0], vocab_src,
                           baseline_ckpt.config.src_vocab, cfg.baseline_checkpoint)
         baseline, labels = E.corpus_probe_embeddings(baseline_ckpt, corpus, vocab_src,
                                                      batch_size=cfg.batch_size)
         enhanced, _ = E.corpus_probe_embeddings(ckpt, corpus, vocab_src,
                                                 batch_size=cfg.batch_size)
-        result = E.run_protocol(baseline, enhanced, labels, seed=cfg.seed)
-        payload = result.summary()
-        (out / "classify.json").write_text(json.dumps(payload) + "\n")
-        print(json.dumps(payload))
-        return EXIT_OK
-
-    if cfg.mode == "centroid":
+        payload = E.run_protocol(baseline, enhanced, labels, seed=cfg.seed).summary()
+    else:
         sent_emb, sent_labels = E.corpus_probe_embeddings(ckpt, corpus, vocab_src,
                                                           batch_size=cfg.batch_size)
         payload = {"sentence": E.run_centroid_protocol(sent_emb, sent_labels,
@@ -377,14 +375,9 @@ def cmd_eval(cfg: RunConfig) -> int:
                                                       seed=cfg.seed).summary()
         except CENMTError as exc:
             payload["word"] = {"error": str(exc)}
-        (out / "centroid.json").write_text(json.dumps(payload) + "\n")
-        print(json.dumps(payload))
-        return EXIT_OK
-
-    # diagnostics
-    files = E.export_diagnostics(ckpt, corpus, vocab_src, out, vocab_tgt=vocab_tgt,
-                                 batch_size=min(cfg.batch_size, 8))
-    print(f"wrote {len(files)} diagnostic files to {out}")
+    record = json.dumps(payload)
+    (out / f"{cfg.mode}.json").write_text(record + "\n")
+    print(f"BLEU {payload['bleu']:.2f}" if cfg.mode == "bleu" else record)
     return EXIT_OK
 
 

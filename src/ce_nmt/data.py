@@ -204,20 +204,19 @@ def source_batches(sentences: Sequence[Sequence[str]], vocab: Vocabulary, batch_
 def batch_iter(corpus: ParallelCorpus, vocab_src: Vocabulary, vocab_tgt: Vocabulary,
                batch_size: int, max_len: int = 64, shuffle: bool = False,
                seed: int = 0) -> Iterator[Batch]:
-    """Yield batches padded to the longest sequence in each batch.
+    """Yield batches padded to the longest sequence in each batch: the
+    ``source_batches`` blocks of the ordered pairs' sources and targets.
 
     Order is deterministic for a fixed seed; the final partial batch is kept.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = np.arange(len(corpus))
     if shuffle:
         np.random.default_rng(seed).shuffle(order)
-    for start in range(0, len(corpus), batch_size):
-        chunk = [corpus.pairs[i] for i in order[start : start + batch_size]]
-        src = [encode_sentence(p.source, vocab_src, max_len) for p in chunk]
-        tgt = [encode_sentence(p.target, vocab_tgt, max_len) for p in chunk]
-        yield Batch(_pad_block(src), _pad_block(tgt))
+    pairs = [corpus.pairs[i] for i in order]
+    sources = source_batches([p.source for p in pairs], vocab_src, batch_size, max_len)
+    targets = source_batches([p.target for p in pairs], vocab_tgt, batch_size, max_len)
+    for src, tgt in zip(sources, targets):
+        yield Batch(src, tgt)
 
 
 @dataclass

@@ -8,7 +8,9 @@ carries:
   a3  holdout accuracy of a fresh classifier trained on the enhanced
       embeddings.
 The triple is reported, never asserted: a2 < a3 < a1 would indicate reduced
-language-specific signal, but the harness only measures.
+language-specific signal, but the harness only measures. ``run_protocol``
+maps the labels once to their sorted languages and a language id per row;
+the split, the probe and its accuracy work on those ids.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ class ProbeClassifier:
     bias: np.ndarray
     feature_mean: np.ndarray
     feature_scale: np.ndarray
-    languages: list[str]
 
     def _features(self, embeddings: np.ndarray) -> np.ndarray:
         return (np.asarray(embeddings, dtype=np.float64) - self.feature_mean) / self.feature_scale
@@ -61,36 +62,40 @@ class ProbeClassifier:
         logits = self._features(embeddings) @ self.weights + self.bias
         return logits.argmax(axis=1)
 
-    def evaluate(self, embeddings: np.ndarray, labels) -> float:
-        """Accuracy of the predicted languages against ``labels``."""
-        idx = np.array([self.languages.index(l) for l in labels])
-        return float((self.predict(embeddings) == idx).mean())
+    def evaluate(self, embeddings: np.ndarray, ids: np.ndarray) -> float:
+        """Accuracy of the predicted language ids against ``ids``."""
+        return float((self.predict(embeddings) == ids).mean())
 
 
-def _validate_probe_inputs(embeddings: np.ndarray, labels) -> list[str]:
+def _language_ids(embeddings: np.ndarray, labels) -> tuple[list, np.ndarray]:
+    """The sorted languages of ``labels`` and each row's index into them;
+    needs (M, h) ``embeddings`` and 2 languages of enough rows each."""
     embeddings = np.asarray(embeddings)
     if embeddings.ndim != 2 or embeddings.shape[0] != len(labels):
         raise ProtocolError(
             f"embeddings {embeddings.shape} must be (M, h) row-aligned with {len(labels)} labels"
         )
-    counts = collections.Counter(labels)
-    if len(counts) < 2:
-        raise ProtocolError(f"need at least 2 languages, got {sorted(counts)}")
-    thin = {l: c for l, c in counts.items() if c < MIN_SAMPLES_PER_LANGUAGE}
+    labels = list(labels)
+    _, first, ids, counts = np.unique(labels, return_index=True, return_inverse=True,
+                                      return_counts=True)
+    languages = [labels[i] for i in first]     # the labels themselves, not numpy's copies
+    if len(languages) < 2:
+        raise ProtocolError(f"need at least 2 languages, got {languages}")
+    thin = {lang: int(c) for lang, c in zip(languages, counts) if c < MIN_SAMPLES_PER_LANGUAGE}
     if thin:
         raise ProtocolError(f"need >= {MIN_SAMPLES_PER_LANGUAGE} samples per language, got {thin}")
-    return sorted(counts)
+    return languages, ids
 
 
-def stratified_split(labels, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic per-language split, ``PROBE_TRAIN_FRAC`` of the rows to
-    training, with at least one test row each."""
+def stratified_split(ids: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic per-language split of rows with language ``ids``,
+    ``PROBE_TRAIN_FRAC`` of the rows to training, with at least one test row
+    each; languages are visited in id order."""
     rng = np.random.default_rng(seed)
-    labels = np.asarray(labels, dtype=object)
     train_idx: list[int] = []
     test_idx: list[int] = []
-    for lang in sorted(set(labels.tolist())):
-        idx = np.flatnonzero(labels == lang)
+    for lang in np.unique(ids):
+        idx = np.flatnonzero(ids == lang)
         idx = idx[rng.permutation(len(idx))]
         n_test = max(1, int(round((1.0 - PROBE_TRAIN_FRAC) * len(idx))))
         test_idx.extend(idx[:n_test].tolist())
@@ -98,19 +103,18 @@ def stratified_split(labels, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(np.array(train_idx)), np.sort(np.array(test_idx))
 
 
-def fit_probe(embeddings: np.ndarray, labels, languages: list[str]) -> ProbeClassifier:
-    """Full-batch gradient descent on softmax cross-entropy from zero weights."""
+def fit_probe(embeddings: np.ndarray, ids: np.ndarray, n_languages: int) -> ProbeClassifier:
+    """Full-batch gradient descent on softmax cross-entropy from zero weights,
+    over ``n_languages`` classes; row i is of language ``ids[i]``."""
     X = np.asarray(embeddings, dtype=np.float64)
-    y = np.array([languages.index(l) for l in labels])
     mean = X.mean(axis=0)
     scale = np.maximum(X.std(axis=0), 1e-8)
     Xs = (X - mean) / scale
     n, h = Xs.shape
-    L = len(languages)
-    W = np.zeros((h, L))
-    b = np.zeros(L)
-    onehot = np.zeros((n, L))
-    onehot[np.arange(n), y] = 1.0
+    W = np.zeros((h, n_languages))
+    b = np.zeros(n_languages)
+    onehot = np.zeros((n, n_languages))
+    onehot[np.arange(n), ids] = 1.0
     for _ in range(PROBE_EPOCHS):
         logits = Xs @ W + b
         logits -= logits.max(axis=1, keepdims=True)
@@ -119,7 +123,7 @@ def fit_probe(embeddings: np.ndarray, labels, languages: list[str]) -> ProbeClas
         delta = (probs - onehot) / n
         W -= PROBE_LR * (Xs.T @ delta)
         b -= PROBE_LR * delta.sum(axis=0)
-    return ProbeClassifier(W, b, mean, scale, list(languages))
+    return ProbeClassifier(W, b, mean, scale)
 
 
 # -- protocols ----------------------------------------------------------------------
@@ -145,23 +149,21 @@ class ProtocolResult:
 def run_protocol(baseline: np.ndarray, enhanced: np.ndarray, labels, seed: int,
                  variant: str = "ce") -> ProtocolResult:
     """Frozen-probe transfer: a1 on baseline, a2 frozen on enhanced, a3 retrained."""
-    languages = _validate_probe_inputs(baseline, labels)
+    languages, ids = _language_ids(baseline, labels)
     baseline = np.asarray(baseline, dtype=np.float64)
     enhanced = np.asarray(enhanced, dtype=np.float64)
     if baseline.shape != enhanced.shape:
         raise ProtocolError(
             f"baseline {baseline.shape} and enhanced {enhanced.shape} must be row-aligned"
         )
-    labels = list(labels)
-    train_idx, test_idx = stratified_split(labels, seed)
-    test_labels = [labels[i] for i in test_idx]
+    train_idx, test_idx = stratified_split(ids, seed)
 
-    c1 = fit_probe(baseline[train_idx], [labels[i] for i in train_idx], languages)
-    a1 = c1.evaluate(baseline[test_idx], test_labels)
-    a2 = c1.evaluate(enhanced[test_idx], test_labels)
-    c2 = fit_probe(enhanced[train_idx], [labels[i] for i in train_idx], languages)
-    a3 = c2.evaluate(enhanced[test_idx], test_labels)
-    return ProtocolResult(variant, a1, a2, a3, len(labels), languages)
+    c1 = fit_probe(baseline[train_idx], ids[train_idx], len(languages))
+    a1 = c1.evaluate(baseline[test_idx], ids[test_idx])
+    a2 = c1.evaluate(enhanced[test_idx], ids[test_idx])
+    c2 = fit_probe(enhanced[train_idx], ids[train_idx], len(languages))
+    a3 = c2.evaluate(enhanced[test_idx], ids[test_idx])
+    return ProtocolResult(variant, a1, a2, a3, len(ids), languages)
 
 
 def run_centroid_protocol(embeddings: np.ndarray, labels, seed: int) -> ProtocolResult:
@@ -290,31 +292,21 @@ def translate_corpus(ckpt, corpus: ParallelCorpus, vocab_src: Vocabulary,
 
 
 @no_grad()
-def pool_sentence_embeddings(encoder, cfg: M.ModelConfig, sentences, vocab: Vocabulary,
-                             batch_size: int = 64) -> np.ndarray:
-    """Encode token sequences and pool them (``cfg.pooling``) into an (M, dim) matrix."""
-    rows: list[np.ndarray] = []
-    for ids in source_batches(sentences, vocab, batch_size, cfg.max_len):
-        latent = M.encode(ids, ids != PAD, encoder, cfg)
-        rows.append(M.pool(latent, cfg.pooling).values)
-    return np.vstack(rows)
-
-
 def corpus_probe_embeddings(ckpt, corpus: ParallelCorpus, vocab_enc: Vocabulary,
                             batch_size: int = 64) -> tuple[np.ndarray, list[str]]:
-    """Sentence embeddings for both sides of a parallel corpus, with language labels.
+    """Sentence embeddings for both sides of a parallel corpus, sources
+    first, pooled by ``cfg.pooling``, with language labels.
 
     Both sides pass through the one shared encoder under the encoder
-    vocabulary, mirroring the context-enhancement data path.
+    vocabulary, mirroring the context-enhancement data path. Each side is
+    batched on its own, so no batch mixes the two.
     """
-    sources = [p.source for p in corpus]
-    targets = [p.target for p in corpus]
-    emb_src = pool_sentence_embeddings(ckpt.encoder, ckpt.config, sources, vocab_enc,
-                                       batch_size=batch_size)
-    emb_tgt = pool_sentence_embeddings(ckpt.encoder, ckpt.config, targets, vocab_enc,
-                                       batch_size=batch_size)
-    labels = [SOURCE_LANG] * len(sources) + [TARGET_LANG] * len(targets)
-    return np.vstack([emb_src, emb_tgt]), labels
+    cfg = ckpt.config
+    rows = [M.pool(M.encode(ids, ids != PAD, ckpt.encoder, cfg), cfg.pooling).values
+            for side in ([p.source for p in corpus], [p.target for p in corpus])
+            for ids in source_batches(side, vocab_enc, batch_size, cfg.max_len)]
+    labels = [SOURCE_LANG] * len(corpus) + [TARGET_LANG] * len(corpus)
+    return np.vstack(rows), labels
 
 
 def word_probe_embeddings(ckpt, corpus: ParallelCorpus,
@@ -325,29 +317,24 @@ def word_probe_embeddings(ckpt, corpus: ParallelCorpus,
     """
     src_tokens = {t for p in corpus for t in p.source}
     tgt_tokens = {t for p in corpus for t in p.target}
-    table = ckpt.encoder["embed"].values
-    rows, labels = [], []
-    for tok in sorted(src_tokens - tgt_tokens):
-        if tok in vocab_enc:
-            rows.append(table[vocab_enc.id(tok)])
-            labels.append(SOURCE_LANG)
-    for tok in sorted(tgt_tokens - src_tokens):
-        if tok in vocab_enc:
-            rows.append(table[vocab_enc.id(tok)])
-            labels.append(TARGET_LANG)
-    if not rows:
+    kept = [(tok, lang) for exclusive, lang in ((src_tokens - tgt_tokens, SOURCE_LANG),
+                                                (tgt_tokens - src_tokens, TARGET_LANG))
+            for tok in sorted(exclusive) if tok in vocab_enc]
+    if not kept:
         raise ProtocolError("no language-exclusive tokens found in the vocabulary")
-    return np.vstack(rows), labels
+    table = ckpt.encoder["embed"].values
+    return np.vstack([table[vocab_enc.id(tok)] for tok, _ in kept]), [lang for _, lang in kept]
 
 
 # -- diagnostics export -------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> Path:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    return path
 
 
 def _float_row(values) -> list[str]:
@@ -384,51 +371,45 @@ def export_diagnostics(ckpt, corpus: ParallelCorpus, vocab_enc: Vocabulary,
                 break
             if batch.size < 2:
                 continue
-            z_s = M.project(M.pool(M.encode(batch.source_ids, batch.source_mask,
-                                            ckpt.encoder, cfg), cfg.pooling), ckpt.projection)
-            z_t = M.project(M.pool(M.encode(batch.target_ids, batch.target_mask,
-                                            ckpt.encoder, cfg), cfg.pooling), ckpt.projection)
-            corr = cross_correlation(z_s, z_t)
-            path = out_dir / f"correlation_batch{k}.csv"
-            _write_csv(path, [f"c{j}" for j in range(cfg.proj_dim)],
-                       (_float_row(row) for row in corr.values))
-            written.append(path)
+            z_s, z_t = (M.project(M.pool(M.encode(ids, ids != PAD, ckpt.encoder, cfg),
+                                         cfg.pooling), ckpt.projection)
+                        for ids in (batch.source_ids, batch.target_ids))
+            written.append(_write_csv(out_dir / f"correlation_batch{k}.csv",
+                                      [f"c{j}" for j in range(cfg.proj_dim)],
+                                      (_float_row(row) for row in cross_correlation(z_s, z_t).values)))
 
-    probe_batch = next(batch_iter(corpus, vocab_enc, vocab_enc, batch_size, max_len=cfg.max_len))
+    # The targets are read only with a decoder, and then under ``vocab_tgt``.
+    probe_batch = next(batch_iter(corpus, vocab_enc, vocab_tgt or vocab_enc, batch_size,
+                                  max_len=cfg.max_len))
     with attention_maps() as encoder_maps:
         latent = M.encode(probe_batch.source_ids, probe_batch.source_mask, ckpt.encoder, cfg)
     maps = {"encoder_self": encoder_maps}
     if ckpt.decoder is not None:
         if vocab_tgt is None:
             raise ConfigError("vocab_tgt is required to export decoder attention maps")
-        dec_batch = next(batch_iter(corpus, vocab_enc, vocab_tgt, batch_size, max_len=cfg.max_len))
         with attention_maps() as decoder_maps:
-            M.decode(latent, dec_batch.target_ids, dec_batch.target_mask, ckpt.decoder, cfg)
+            M.decode(latent, probe_batch.target_ids, probe_batch.target_mask, ckpt.decoder, cfg)
         # ``decode`` runs each layer's self-attention before its cross-attention.
         maps["decoder_self"], maps["decoder_cross"] = decoder_maps[0::2], decoder_maps[1::2]
     for kind, layers in maps.items():
         for layer_idx, weights in enumerate(layers):
             B, heads, tq, tk = weights.shape
             for head in range(heads):
-                path = out_dir / f"attention_{kind}_l{layer_idx}_h{head}.csv"
                 block = weights[:, head].reshape(B * tq, tk)
-                _write_csv(path, [f"k{j}" for j in range(tk)],
-                           (_float_row(row) for row in block))
-                written.append(path)
+                written.append(_write_csv(out_dir / f"attention_{kind}_l{layer_idx}_h{head}.csv",
+                                          [f"k{j}" for j in range(tk)],
+                                          (_float_row(row) for row in block)))
 
-    emb, labels = corpus_probe_embeddings(ckpt, corpus, vocab_enc, batch_size=batch_size)
-    path = out_dir / "sentence_embeddings.csv"
-    _write_csv(path, ["language", "sentence"] + [f"e{j}" for j in range(emb.shape[1])],
-               ([lab, i] + _float_row(row) for i, (lab, row) in enumerate(zip(labels, emb))))
-    written.append(path)
-
+    # (file name, row column, (embeddings, labels)); no word dump without exclusive tokens
+    dumps = [("sentence", "sentence",
+              corpus_probe_embeddings(ckpt, corpus, vocab_enc, batch_size=batch_size))]
     try:
-        word_emb, word_labels = word_probe_embeddings(ckpt, corpus, vocab_enc)
+        dumps.append(("word", "row", word_probe_embeddings(ckpt, corpus, vocab_enc)))
     except ProtocolError:
-        word_emb, word_labels = None, None
-    if word_emb is not None:
-        path = out_dir / "word_embeddings.csv"
-        _write_csv(path, ["language", "row"] + [f"e{j}" for j in range(word_emb.shape[1])],
-                   ([lab, i] + _float_row(row) for i, (lab, row) in enumerate(zip(word_labels, word_emb))))
-        written.append(path)
+        pass
+    for name, column, (emb, labels) in dumps:
+        written.append(_write_csv(
+            out_dir / f"{name}_embeddings.csv",
+            ["language", column] + [f"e{j}" for j in range(emb.shape[1])],
+            ([lab, i] + _float_row(row) for i, (lab, row) in enumerate(zip(labels, emb)))))
     return written

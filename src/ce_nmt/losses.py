@@ -17,6 +17,7 @@ with no tape, for diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,11 +83,11 @@ def barlow_twins_loss(z_s: Tensor, z_t: Tensor, lam: float,
                       eps: float = DENOM_EPS) -> CELossBreakdown:
     """Invariance plus lambda-weighted redundancy, differentiable end to end.
 
-    ``lam`` must be positive in training; zero is accepted as a diagnostic
-    edge where the redundancy term cannot influence gradients.
+    ``lam`` must be finite and positive in training; zero is accepted as a
+    diagnostic edge where the redundancy term cannot influence gradients.
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     loss, c, invariance, redundancy = N.barlow_twins(N.batch_norm_train(z_s),
                                                      N.batch_norm_train(z_t), lam, eps)
     return CELossBreakdown(

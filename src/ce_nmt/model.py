@@ -27,7 +27,7 @@ so any change confined to padding leaves unmasked outputs bitwise unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -73,13 +73,6 @@ class ModelConfig:
             raise ConfigError(f"max_len must be >= 3, got {self.max_len}")
         if self.emb_dim < 1 or self.ff_dim < 1:
             raise ConfigError("emb_dim and ff_dim must be positive")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 class ParamGroup:

@@ -9,7 +9,9 @@ products) are kept only as the tests' reference chains.
 
 Conventions:
   - values are float32 or float64 numpy arrays (float64 in tests); every
-    op keeps its inputs' dtype, constants included,
+    op keeps its inputs' dtype, constants included. ``add`` takes a Tensor
+    or a constant, ``mul`` only a constant; ``embedding_lookup`` and ``nll``
+    share one id-range check, the two pools one mask check,
   - non-finite values raise ``NumericError`` at construction time. The
     fused ops ``linear``, ``multi_head_attention``, ``nll`` and
     ``barlow_twins`` are one tape node each, so their output Tensor is
@@ -248,12 +250,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
 
 
 def _result(values: np.ndarray, parents: tuple[_Node, ...],
@@ -296,24 +294,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        const = np.asarray(b, dtype=a.dtype)
-        out_values = a.values + const
-        na = a._node
-
-        def backward(g):
-            _accumulate(na, _unbroadcast(g, na.shape))
-
-        return _result(out_values, (na,), backward)
-
-    out_values = a.values + b.values
-    na, nb = a._node, b._node
+    """``a + b`` for a Tensor ``b`` or a constant (a number or an array, cast
+    to ``a``'s dtype); ``a`` gets its gradient first."""
+    if isinstance(b, Tensor):
+        b_values, nodes = b.values, (a._node, b._node)
+    else:
+        b_values, nodes = np.asarray(b, dtype=a.dtype), (a._node,)
+    out_values = a.values + b_values
 
     def backward(g):
-        _accumulate(na, _unbroadcast(g, na.shape))
-        _accumulate(nb, _unbroadcast(g, nb.shape))
+        for node in nodes:
+            _accumulate(node, _unbroadcast(g, node.shape))
 
-    return _result(out_values, (na, nb), backward)
+    return _result(out_values, nodes, backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -641,18 +634,20 @@ def batch_norm_train(x: Tensor) -> Tensor:
 # -- lookup / gather ------------------------------------------------------------
 
 
+def _check_ids(ids: np.ndarray, V: int, what: str) -> None:
+    """Raise ``IndexError`` unless every id of ``ids`` is in [0, V)."""
+    if ids.size and (ids.min() < 0 or ids.max() >= V):
+        raise IndexError(f"{what} id out of range [0, {V}): min={ids.min()}, max={ids.max()}")
+
+
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of ``table`` (V, n) by integer ids; gradients scatter-add."""
     ids = np.asarray(ids)
-    V = table.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= V):
-        raise IndexError(f"embedding id out of range [0, {V}): min={ids.min()}, max={ids.max()}")
+    _check_ids(ids, table.shape[0], "embedding")
     out_values = table.values[ids]
     nt = table._node
 
     def backward(g):
-        if not nt.requires_grad:
-            return
         # Scatter into a copy of the gradient so far: one buffer per lookup,
         # summed afterwards, would change the order of the additions.
         grad = np.zeros(nt.shape, dtype=nt.dtype) if nt.grad is None else nt.grad.copy()
@@ -665,15 +660,21 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 # -- mask-aware pooling ----------------------------------------------------------
 
 
-def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean over unmasked time steps: (B, t, h) with mask (B, t) -> (B, h).
-    The counts take ``x``'s dtype, so a float32 batch stays float32."""
+def _pool_mask(x: Tensor, mask: np.ndarray, kind: str) -> np.ndarray:
+    """``mask`` as a boolean (B, t) array with an unmasked position in every row."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.shape[:2]:
         raise ShapeError(f"pool mask shape {mask.shape} must match {x.shape[:2]}")
+    if not mask.any(axis=1).all():
+        raise DegenerateInputError(f"{kind} pool: a row has no unmasked position")
+    return mask
+
+
+def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Mean over unmasked time steps: (B, t, h) with mask (B, t) -> (B, h).
+    The counts take ``x``'s dtype, so a float32 batch stays float32."""
+    mask = _pool_mask(x, mask, "mean")
     counts = mask.sum(axis=1, dtype=x.dtype)
-    if (counts == 0).any():
-        raise DegenerateInputError("mean pool: a row has no unmasked position")
     m = mask[..., None].astype(x.dtype)
     out_values = (x.values * m).sum(axis=1) / counts[:, None]
     nx = x._node
@@ -686,11 +687,7 @@ def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
 
 def masked_max_pool(x: Tensor, mask: np.ndarray) -> Tensor:
     """Elementwise max over unmasked time steps; ties go to the earliest step."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != x.shape[:2]:
-        raise ShapeError(f"pool mask shape {mask.shape} must match {x.shape[:2]}")
-    if (~mask.any(axis=1)).any():
-        raise DegenerateInputError("max pool: a row has no unmasked position")
+    mask = _pool_mask(x, mask, "max")
     guarded = np.where(mask[..., None], x.values, -np.inf)
     arg = guarded.argmax(axis=1)
     B, _, H = x.shape
@@ -730,9 +727,7 @@ def nll(logits: Tensor, ids: np.ndarray, mask: np.ndarray) -> Tensor:
     if ids.shape != xv.shape[:-1] or mask.shape != ids.shape:
         raise ShapeError(f"nll expects logits (..., V) and ids and mask of its leading shape, "
                          f"got {logits.shape}, {ids.shape} and {mask.shape}")
-    V = xv.shape[-1]
-    if ids.size and (ids.min() < 0 or ids.max() >= V):
-        raise IndexError(f"nll id out of range [0, {V}): min={ids.min()}, max={ids.max()}")
+    _check_ids(ids, xv.shape[-1], "nll")
     count = int(mask.sum())
     if count == 0:
         raise DegenerateInputError("nll: every target position is masked")

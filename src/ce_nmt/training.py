@@ -35,7 +35,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain, count, islice
 from pathlib import Path
 
@@ -286,7 +286,7 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     if ckpt.projection is not None:
         groups.append(("projection", ckpt.projection))
     header = {
-        "config": ckpt.config.to_dict(),
+        "config": asdict(ckpt.config),
         "stage": ckpt.stage,
         "seed": ckpt.seed,
         "step": ckpt.step,
@@ -348,7 +348,7 @@ class _Reader:
 def _read_header(reader: _Reader) -> tuple[ModelConfig, str, int, int, list[str]]:
     try:
         header = json.loads(reader.take(reader.uint()).decode("utf-8"))
-        cfg = ModelConfig.from_dict(header["config"])
+        cfg = ModelConfig(**header["config"])
         stage, seed, step, groups = (header[k] for k in ("stage", "seed", "step", "groups"))
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{reader.source}: malformed checkpoint header: {exc}") from exc
@@ -427,8 +427,8 @@ class CEConfig:
 
     def __post_init__(self):
         # lam = 0 is permitted as a diagnostic edge (redundancy term inert).
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 1 <= self.epochs <= 1000:
             raise ConfigError(f"epochs must be in [1, 1000], got {self.epochs}")
         if self.batch_size < 2:

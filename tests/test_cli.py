@@ -457,10 +457,11 @@ def test_eval_centroid_reports_sentence_and_word(pipeline_out, capsys):
     assert "a1" in payload["sentence"] and "a1" in payload["word"]
 
 
-# sha256 of the probe records `eval` writes from the `pipeline_out` run, taken
-# with the BLAS build of the pipeline pins above. The JSON field order is part
-# of the bytes.
+# sha256 of the records `eval` writes from the `pipeline_out` run, taken with
+# the BLAS build of the pipeline pins above. The JSON field order is part of
+# the bytes.
 PINNED_EVAL_SHA256 = {
+    "bleu.json": "3f0b8d28135eff417507fdacb073282ae734af220b09a634ad8a13fd9e35955e",
     "classify.json": "07eb336a6b9c631130e215b08740e6406b9ba06d7a7d2c5012245f4e6c5c09d4",
     "centroid.json": "356ad6e9c3cf4f53da985605d9009a404d3830c8afe6803495b96c02b2419ad8",
 }
@@ -470,8 +471,11 @@ def test_eval_probe_records_match_pinned_sha256(pipeline_out):
     tmp, src, tgt, out = pipeline_out
     base = next(out.glob("pretrain-*.ckpt"))
     ce = next(out.glob("ce-*.ckpt"))
-    for mode, extra in (("classify", ["--baseline-checkpoint", str(base)]), ("centroid", [])):
-        assert cli.main(["eval", "--mode", mode, "--checkpoint", str(ce), *extra, "--source", src,
+    finetune = next(out.glob("finetune-*.ckpt"))
+    for mode, ckpt, extra in (("bleu", finetune, []),
+                              ("classify", ce, ["--baseline-checkpoint", str(base)]),
+                              ("centroid", ce, [])):
+        assert cli.main(["eval", "--mode", mode, "--checkpoint", str(ckpt), *extra, "--source", src,
                          "--target", tgt, "--out", str(out / "eval"), "--seed", "6"]) == 0
     got = {name: hashlib.sha256((out / "eval" / name).read_bytes()).hexdigest()
            for name in PINNED_EVAL_SHA256}
@@ -662,16 +666,26 @@ def test_out_of_range_number_exits_2(toy_files, capsys, command, name, value, vi
     assert not (tmp / "o").exists()
 
 
-@pytest.mark.parametrize("flag", ["--warmup", "--epochs", "--depth"])
-def test_rejected_option_writes_nothing_into_out(toy_files, capsys, flag):
+@pytest.mark.parametrize("command, flag, value", [
+    pytest.param("pipeline", "--warmup", "0", id="--warmup"),
+    pytest.param("pipeline", "--epochs", "0", id="--epochs"),
+    pytest.param("pipeline", "--depth", "0", id="--depth"),
+    # ``nan < 0`` is false and ``inf > 0`` true: a range check alone lets them by.
+    pytest.param("pipeline", "--lambda", "nan", id="--lambda-nan"),
+    pytest.param("pipeline", "--lambda", "inf", id="--lambda-inf"),
+    pytest.param("pipeline", "--lr", "inf", id="--lr-inf"),
+    pytest.param("train", "--lr", "inf", id="train--lr-inf"),
+])
+def test_rejected_option_writes_nothing_into_out(toy_files, capsys, command, flag, value):
     # Every option is checked before the vocabularies or the metrics log go
     # into --out.
     tmp, src, tgt = toy_files
     out = tmp / "o"
-    code = cli.main(["pipeline", "--source", src, "--target", tgt, "--out", str(out),
-                     *SMALL_MODEL, flag, "0"])
+    code = cli.main([command, "--source", src, "--target", tgt, "--out", str(out),
+                     *SMALL_MODEL, flag, value])
     assert code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
     assert not out.exists()
 
 
@@ -690,7 +704,7 @@ def test_help_flags_match_config_keys(capsys):
     help_text = capsys.readouterr().out
     flags = set(re.findall(r"--[a-z][a-z0-9-]*", help_text))
     flags.discard("--help")
-    expected = {"--config"} | {f"--{k.replace('_', '-')}" for k in cli._KEY_TO_ATTR}
+    expected = {"--config"} | {f"--{k.replace('_', '-')}" for k in cli._FIELDS}
     assert flags == expected
 
 

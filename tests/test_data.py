@@ -210,6 +210,76 @@ def test_batch_rows_contain_bos_eos():
             assert real[0] == BOS and real[-1] == EOS
 
 
+def _blocks_sha256(blocks) -> str:
+    """sha256 over the shape and the little-endian int64 ids of each block, in order."""
+    h = hashlib.sha256()
+    for block in blocks:
+        h.update(np.array(block.shape, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(block, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+def _pinned_batch_setup():
+    # 23 cipher pairs, cut at max_len 8 (some sentences are truncated); the
+    # target vocabulary sees only the first 15 targets, so later ones hold UNK.
+    corpus = make_cipher_corpus(23, seed=5, **CIPHER)
+    vocab_src = build_vocab([p.source for p in corpus] + [p.target for p in corpus])
+    vocab_tgt = build_vocab([p.target for p in corpus.pairs[:15]])
+    return corpus, vocab_src, vocab_tgt
+
+
+# (batch size, shuffle, seed) -> sha256 of the source blocks, then of the
+# target blocks, that ``batch_iter`` yields; 5 leaves a partial last batch of
+# 3 rows, 64 is larger than the corpus.
+PINNED_BATCHES = {
+    (5, False, 0): ("6cf06a4a0acde4ec91b8765ed94295de6b28546874035850b2d751913515de94",
+                    "f3fdd0c9d8868d03965a4c6086f4f254a9ccebd39da736fd1c37bd7f3596989c"),
+    (5, True, 0): ("13240b031af93161589d53625be0ae6b5de60916212498cdda69bb7622bd7c52",
+                   "df9e55a094dc88c44c18b75fd523b7d323aba6cd1df43311fa708c24d97e24db"),
+    (5, True, 1): ("174db8f28a333767630f0a5a3e344e670e527b76fc388b9ea91485b0655c2a2f",
+                   "2feed161cf3c207d04f72986a48cccd6a68e7f25bf3340d7172c2fce53d0f7ef"),
+    (5, True, 2): ("7bbd740768622746a16a64c257f2f6db697a78bc44bcf7f5abdceb7da0521bfb",
+                   "1a03dd32628c079b51a2f693b2a5331a2b42e3ba87b66a41b09bb45893f38d66"),
+    (64, False, 0): ("2b9f698cfefc5d299d7e5291ca2a770f6d9268221c988c239447f376931d22f8",
+                     "ce4410df2187b13e2a5ff5e5d1b38e798a60a9bf838b54dd28d4ac9088d7c1a6"),
+    (64, True, 0): ("e4feb9422bc988f64ea7de468e1201287507b26320dcd989ed31e0742a5bd906",
+                    "490863f35215a7958da955c727ac5f355f8cd66b7d2626220c18c8aa5a57510a"),
+    (64, True, 1): ("0d91ec6fd30615a3fc0726174aab369a71ee5f5ce0a3301b37cb84275ad6c406",
+                    "985748a655c8b6f421b79943a92bc9b77cf4951e096bd2ae5a43705a25b24c32"),
+    (64, True, 2): ("f1ed1e859e2460bf9203c5d737048d2e89b97c1a6d79abbf0beb0e1c5bec804c",
+                    "6f5e3528687613e0ea6df661f0c0ed059163d000f3abf000f83d57ccff56f41e"),
+}
+
+
+@pytest.mark.parametrize("batch_size, shuffle, seed", PINNED_BATCHES)
+def test_batch_iter_blocks_pinned(batch_size, shuffle, seed):
+    corpus, vocab_src, vocab_tgt = _pinned_batch_setup()
+    batches = list(batch_iter(corpus, vocab_src, vocab_tgt, batch_size, max_len=8,
+                              shuffle=shuffle, seed=seed))
+    assert sum(b.size for b in batches) == len(corpus)
+    got = (_blocks_sha256(b.source_ids for b in batches),
+           _blocks_sha256(b.target_ids for b in batches))
+    assert got == PINNED_BATCHES[batch_size, shuffle, seed]
+
+
+# (side, batch size) -> sha256 of the blocks ``source_batches`` yields for
+# the same sentences, in corpus order.
+PINNED_SOURCE_BATCHES = {
+    ("source", 5): "6cf06a4a0acde4ec91b8765ed94295de6b28546874035850b2d751913515de94",
+    ("source", 64): "2b9f698cfefc5d299d7e5291ca2a770f6d9268221c988c239447f376931d22f8",
+    ("target", 5): "f3fdd0c9d8868d03965a4c6086f4f254a9ccebd39da736fd1c37bd7f3596989c",
+    ("target", 64): "ce4410df2187b13e2a5ff5e5d1b38e798a60a9bf838b54dd28d4ac9088d7c1a6",
+}
+
+
+@pytest.mark.parametrize("side, batch_size", PINNED_SOURCE_BATCHES)
+def test_source_batches_blocks_pinned(side, batch_size):
+    corpus, vocab_src, vocab_tgt = _pinned_batch_setup()
+    vocab = vocab_src if side == "source" else vocab_tgt
+    blocks = data.source_batches([getattr(p, side) for p in corpus], vocab, batch_size, 8)
+    assert _blocks_sha256(blocks) == PINNED_SOURCE_BATCHES[side, batch_size]
+
+
 # -- corpus loading -----------------------------------------------------------------
 
 def test_load_parallel_corpus(tmp_path):

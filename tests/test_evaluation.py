@@ -52,7 +52,8 @@ def test_probe_identical_embeddings_majority_rate():
     labels = ["en"] * 60 + ["de"] * 40
     acc = holdout_accuracy(emb, labels)
     # Constant features force a constant prediction: the majority class.
-    train_idx, test_idx = E.stratified_split(labels, 0)
+    ids = np.array([lab == "en" for lab in labels], dtype=int)    # de 0, en 1
+    train_idx, test_idx = E.stratified_split(ids, 0)
     majority_rate = sum(1 for i in test_idx if labels[i] == "en") / len(test_idx)
     assert acc == pytest.approx(majority_rate)
 
@@ -69,15 +70,17 @@ def test_probe_too_few_samples_rejected():
 
 def test_probe_deterministic():
     emb, labels = blobs(seed=3)
-    p1 = E.fit_probe(emb, labels, ["de", "en"])
-    p2 = E.fit_probe(emb, labels, ["de", "en"])
+    ids = np.array([lab == "en" for lab in labels], dtype=int)    # de 0, en 1
+    p1 = E.fit_probe(emb, ids, 2)
+    p2 = E.fit_probe(emb, ids, 2)
     assert np.array_equal(p1.weights, p2.weights) and np.array_equal(p1.bias, p2.bias)
     assert holdout_accuracy(emb, labels, seed=5) == holdout_accuracy(emb, labels, seed=5)
 
 
 def test_stratified_split_is_stratified():
     labels = ["en"] * 40 + ["de"] * 20
-    train_idx, test_idx = E.stratified_split(labels, seed=2)
+    ids = np.array([lab == "en" for lab in labels], dtype=int)    # de 0, en 1
+    train_idx, test_idx = E.stratified_split(ids, seed=2)
     assert len(train_idx) + len(test_idx) == 60
     test_labels = [labels[i] for i in test_idx]
     assert test_labels.count("en") == 8 and test_labels.count("de") == 4
@@ -128,6 +131,44 @@ def test_centroid_protocol_preserves_between_language_separation():
     res = E.run_centroid_protocol(emb, labels, seed=4)
     assert res.a1 >= 0.99
     assert abs(res.a2 - res.a1) <= 0.02
+
+
+def three_language_probe_data():
+    """Rows of fr, de and en, their labels interleaved out of sorted order;
+    de has exactly ``MIN_SAMPLES_PER_LANGUAGE`` rows. The clusters overlap,
+    so no accuracy is 0 or 1, and ``enhanced`` halves their offsets."""
+    rng = np.random.default_rng(21)
+    left = {"fr": 19, "de": E.MIN_SAMPLES_PER_LANGUAGE, "en": 14}
+    labels = []
+    while any(left.values()):
+        for lang in left:
+            if left[lang]:
+                labels.append(lang)
+                left[lang] -= 1
+    offset = {"fr": [1.5, 0.0, 0.0, 0.0], "de": [0.0, 1.5, 0.0, 0.0], "en": [0.0, 0.0, 1.5, 0.0]}
+    shift = np.array([offset[lang] for lang in labels])
+    noise = rng.normal(size=shift.shape)
+    return noise + shift, noise + 0.5 * shift, labels
+
+
+# The records of ``run_protocol`` and ``run_centroid_protocol`` on
+# ``three_language_probe_data`` (seed 3). Accuracies are counts of test rows
+# over their number, so they hold on any BLAS build that makes the same
+# predictions.
+PINNED_THREE_LANGUAGE = {
+    "ce": {"variant": "ce", "a1": 6 / 9, "a2": 5 / 9, "a3": 5 / 9, "n_samples": 43,
+           "languages": ["de", "en", "fr"]},
+    "centroid": {"variant": "centroid", "a1": 6 / 9, "a2": 6 / 9, "a3": 6 / 9, "n_samples": 43,
+                 "languages": ["de", "en", "fr"]},
+}
+
+
+def test_three_language_protocols_pinned():
+    baseline, enhanced, labels = three_language_probe_data()
+    assert labels[:4] == ["fr", "de", "en", "fr"]
+    got = {"ce": E.run_protocol(baseline, enhanced, labels, seed=3).summary(),
+           "centroid": E.run_centroid_protocol(baseline, labels, seed=3).summary()}
+    assert got == PINNED_THREE_LANGUAGE
 
 
 def test_centroid_protocol_single_language_rejected():

@@ -216,6 +216,15 @@ def test_barlow_rejects_negative_lambda():
         CEConfig(lam=-0.1)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_barlow_and_ce_config_reject_non_finite_lambda(lam):
+    # ``nan < 0`` is false: a sign check alone lets nan through, and inf.
+    with pytest.raises(ValueError, match="finite"):
+        L.barlow_twins_loss(T(HADAMARD), T(HADAMARD), lam=lam)
+    with pytest.raises(ConfigError, match="finite"):
+        CEConfig(lam=lam)
+
+
 def test_full_ce_pipeline_gradient():
     """encode -> pool -> project -> BN -> loss, checked against central differences."""
     cfg = M.ModelConfig(src_vocab=9, tgt_vocab=9, depth=1, dim=8, heads=2,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -535,7 +536,7 @@ def test_checkpoint_single_byte_flips_load_or_raise_config_error():
 def test_checkpoint_rejects_wrong_shape_and_non_finite_values(tmp_path):
     cfg, corpus, vs, vt = tiny_setup()
     ckpt = TR.train_translation(cfg, corpus, vs, vt, seed=9, steps=0)
-    wider = M.ModelConfig(**{**cfg.to_dict(), "ff_dim": cfg.ff_dim + 1})
+    wider = dataclasses.replace(cfg, ff_dim=cfg.ff_dim + 1)
     path = tmp_path / "bad.ckpt"
     blob = TR.checkpoint_bytes(TR.Checkpoint(wider, "pretrain", 9, 0, ckpt.encoder,
                                              decoder=ckpt.decoder))
