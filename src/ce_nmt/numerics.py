@@ -45,12 +45,23 @@ Conventions:
     function has used it. Only leaves (parameters, and inputs created with
     ``requires_grad=True``) keep ``.grad``, and a second ``backward()`` on
     the same graph adds the same gradients to them once more,
+  - ``linear``'s weight gradient ``xᵀ·g`` runs on one module-level worker
+    thread, started on the first backward, while the walk goes on: the
+    calling thread allocates the output and the worker only runs
+    ``np.matmul`` into it, building no Tensor. The product waits on the
+    weight's node as ``pending`` and is added to its gradient (``_settle``)
+    before anything else is added to or read from that gradient, and, for
+    every node, when ``backward()`` returns or raises. So each GEMM is the
+    same call on the same arrays, each node's contributions are summed in
+    tape order, and the bits are those of running the product in place.
+    There is no option to turn the worker off; on a one-core host it is
+    time-sliced with the walk,
   - gradients are passed by reference: a backward function may hand the
     same array (or a view of it) to several parents, and ``_accumulate``
     stores the first gradient a tensor receives as is. So once an array is
     stored in a ``.grad``, nothing writes into it in place: backward
     functions, ``embedding_lookup``'s scatter and the optimizer all build
-    new arrays,
+    new arrays, and the worker reads ``x`` and ``g`` while the walk goes on,
   - attention's softmax and the pools exclude masked positions exactly
     (weight 0),
     so mask-invariance holds bitwise at 64-bit,
@@ -68,7 +79,9 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -90,6 +103,19 @@ class _ThreadState(threading.local):
 
 
 _state = _ThreadState()
+
+
+def _start_worker() -> None:
+    """Make the executor of ``linear``'s weight-gradient products, one worker
+    thread. It starts its thread on the first submit, so a process that runs
+    no backward (decoding, evaluation) starts none. A child forked after a
+    backward has no copy of the parent's thread and makes its own."""
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ce_nmt-weight-grad")
+
+
+_start_worker()
+os.register_at_fork(after_in_child=_start_worker)
 
 
 @contextlib.contextmanager
@@ -147,10 +173,12 @@ class _Node:
     ``parents`` are the nodes of the op's inputs, and ``backward_fn(g)``
     passes ``g`` on to them. ``shape`` and ``dtype`` are those of the
     Tensor's values, so a backward function can reduce and cast a gradient
-    without holding the values.
+    without holding the values. ``pending`` is a weight-gradient product
+    still running on the worker: the newest contribution to ``grad``, added
+    by ``_settle`` before anything else reads or adds to ``grad``.
     """
 
-    __slots__ = ("grad", "requires_grad", "parents", "backward_fn", "shape", "dtype")
+    __slots__ = ("grad", "requires_grad", "parents", "backward_fn", "shape", "dtype", "pending")
 
     def __init__(self, shape: tuple[int, ...], dtype, requires_grad: bool):
         self.grad: np.ndarray | None = None
@@ -159,6 +187,7 @@ class _Node:
         self.backward_fn: Callable[[np.ndarray], None] | None = None
         self.shape = shape
         self.dtype = dtype
+        self.pending: Future | None = None
 
 
 class Tensor:
@@ -239,11 +268,18 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         root.grad = np.ones_like(self.values)
-        for node in reversed(topo):
-            fn = node.backward_fn
-            if fn is not None and node.grad is not None:
-                g, node.grad = node.grad, None
-                fn(g)
+        try:
+            for node in reversed(topo):
+                if node.backward_fn is not None:
+                    _settle(node)
+                    g, node.grad = node.grad, None
+                    if g is not None:
+                        node.backward_fn(g)
+        finally:
+            # On return and on an exception alike, nothing is left running
+            # and every product is in its node's gradient.
+            for node in topo:
+                _settle(node)
 
     # -- operator sugar ----------------------------------------------------
 
@@ -274,10 +310,19 @@ def _accumulate(node: _Node, g: np.ndarray) -> None:
     """
     if not node.requires_grad:
         return
+    _settle(node)
     if node.grad is None:
         node.grad = g if g.dtype == node.dtype else g.astype(node.dtype)
     else:
         node.grad = (node.grad + g).astype(node.dtype, copy=False)
+
+
+def _settle(node: _Node) -> None:
+    """Wait for ``node``'s pending weight-gradient product and add it to the
+    node's gradient, so contributions are summed in the order they came."""
+    pending, node.pending = node.pending, None
+    if pending is not None:
+        _accumulate(node, pending.result())
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -348,6 +393,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
     stays one product over the zero-padded B·t rows, so its reduction has
     the length and order, and the bits, of an unpacked call whose gradient
     is zero at the left-out rows.
+
+    The backward runs the weight gradient ``xᵀ·g`` on the module's worker
+    thread into an array allocated here, and goes on with the input
+    gradient; the product becomes ``w``'s pending contribution (``_settle``).
     """
     xv, wv = x.values, w.values
     if wv.ndim != 2 or xv.ndim < 1 or xv.shape[-1] != wv.shape[0]:
@@ -369,9 +418,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
             g = g.reshape(flat_shape)
         if nb is not None:
             _accumulate(nb, _unbroadcast(g, nb.shape))
+        if nw.requires_grad:
+            xr, gr = (flat, g) if rows is None else (rows.pad(flat), rows.pad(g))
+            _settle(nw)
+            nw.pending = _worker.submit(np.matmul, xr.T, gr, out=np.empty(
+                (xr.shape[1], gr.shape[1]), dtype=np.result_type(xr.dtype, gr.dtype)))
         gx = g @ wv.swapaxes(-1, -2)
-        xr, gr = (flat, g) if rows is None else (rows.pad(flat), rows.pad(g))
-        _accumulate(nw, xr.swapaxes(-1, -2) @ gr)
         _accumulate(nx, gx if len(nx.shape) == 2 else gx.reshape(nx.shape))
 
     return _result(out_values, (nx, nw) if nb is None else (nx, nw, nb), backward)
@@ -650,6 +702,7 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     def backward(g):
         # Scatter into a copy of the gradient so far: one buffer per lookup,
         # summed afterwards, would change the order of the additions.
+        _settle(nt)
         grad = np.zeros(nt.shape, dtype=nt.dtype) if nt.grad is None else nt.grad.copy()
         np.add.at(grad, ids.reshape(-1), g.reshape(-1, nt.shape[1]))
         nt.grad = grad

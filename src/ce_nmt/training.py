@@ -79,6 +79,8 @@ class AdamOptimizer:
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, warmup: int = 4000):
         if warmup < 1:
             raise ConfigError(f"warmup must be >= 1, got {warmup}")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {lr}")
         self.params = dict(params)
         self.lr = lr
         self.warmup = warmup

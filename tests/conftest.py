@@ -1,6 +1,7 @@
 """Pytest hooks shared by every test module."""
 
 import ctypes
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,4 +27,7 @@ def openblas_corename() -> str:
 
 
 def pytest_report_header(config):
-    return f"openblas kernel: {openblas_corename()}"
+    # ``linear``'s weight-gradient products run on a worker thread; with one
+    # usable CPU that thread is time-sliced with the test process.
+    return (f"openblas kernel: {openblas_corename()}, "
+            f"usable cpus: {len(os.sched_getaffinity(0))}")

@@ -1,3 +1,6 @@
+import os
+import signal
+import sys
 import threading
 import zlib
 from functools import partial
@@ -566,6 +569,154 @@ def test_backward_keeps_gradients_on_leaves_only():
         assert t.grad is None
     assert x.grad is not None and w.grad is not None
     assert all(node.grad is None for node in _tape(loss) if node.backward_fn is not None)
+
+
+# -- weight-gradient products on the worker ---------------------------------------------
+#
+# ``linear`` runs each ``xᵀ·g`` on the worker thread and the tape adds it to the
+# weight's gradient when that node is next touched. The expected gradients
+# below are the explicit numpy products, summed in tape order.
+
+def _square_chain(seed, between=None):
+    """x (4, 4) through three linears that share one weight w (4, 4). With
+    ``between="add"``, w itself is added to the first linear's output, so
+    another op adds to w's gradient between two products; with
+    ``"lookup"``, rows of w looked up by id are added there, and the lookup's
+    scatter comes after the first linear's product. Returns the leaves, the
+    loss and the expected gradients of w and x."""
+    rng = np.random.default_rng(seed)
+    xv, wv, c = rng.normal(size=(4, 4)), rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+    ids = np.array([2, 0, 2, 1])
+    x, w = T(xv), T(wv)
+    h1 = N.linear(x, w)
+    s = {None: h1, "add": N.add(h1, w), "lookup": N.add(h1, N.embedding_lookup(w, ids))}[between]
+    h3 = N.linear(N.linear(s, w), w)
+    loss = tsum(N.mul(h3, c))
+    h1v = xv @ wv
+    sv = {None: h1v, "add": h1v + wv, "lookup": h1v + wv[ids]}[between]
+    h2v = sv @ wv
+    g3 = c                                   # tsum, then the constant factor
+    g2 = g3 @ wv.T
+    g1 = g2 @ wv.T
+    expected = h2v.T @ g3 + sv.T @ g2
+    if between == "add":
+        expected = expected + g1
+    expected = expected + xv.T @ g1
+    if between == "lookup":
+        np.add.at(expected, ids, g1)
+    return x, w, loss, expected, g1 @ wv.T
+
+
+@pytest.mark.parametrize("between", [None, "add", "lookup"])
+def test_shared_weight_products_sum_in_tape_order(between):
+    x, w, loss, expected_w, expected_x = _square_chain(31, between)
+    loss.backward()
+    assert w.grad.tobytes() == expected_w.tobytes()
+    assert x.grad.tobytes() == expected_x.tobytes()
+
+
+def test_non_leaf_weight_backward_reads_the_summed_products():
+    rng = np.random.default_rng(32)
+    xv, vv, c = rng.normal(size=(3, 4)), rng.normal(size=(4, 4)), rng.normal(size=(3, 4))
+    x, v = T(xv), T(vv)
+    w = N.mul(v, 2.0)                        # a weight that is not a leaf
+    loss = tsum(N.mul(N.linear(N.linear(x, w), w), c))
+    loss.backward()
+    wv = vv * 2.0
+    g1 = c @ wv.T
+    assert v.grad.tobytes() == (((xv @ wv).T @ c + xv.T @ g1) * 2.0).tobytes()
+    assert w.grad is None
+
+
+def test_backward_that_raises_leaves_nothing_pending():
+    x, w, loss, _, _ = _square_chain(33)
+    tape = _tape(loss)
+    first = next(node for node in tape if node.backward_fn is not None
+                 and node.parents[0] is x._node)   # the first linear
+
+    def boom(g):
+        raise RuntimeError("boom")
+
+    first.backward_fn = boom
+    with pytest.raises(RuntimeError, match="boom"):
+        loss.backward()
+    assert all(node.pending is None for node in tape)
+    assert isinstance(w.grad, np.ndarray) and x.grad is None
+    x, w, loss, expected_w, expected_x = _square_chain(33)
+    loss.backward()
+    assert w.grad.tobytes() == expected_w.tobytes()
+    assert x.grad.tobytes() == expected_x.tobytes()
+
+
+def test_concurrent_backwards_get_their_own_gradients():
+    # Three threads share the one worker, more than a two-core host has
+    # cores, with thread switches forced often: each graph must still get
+    # its own sums.
+    seeds = (34, 35, 36)
+    barrier = threading.Barrier(len(seeds))
+    outcomes = {}
+
+    def run(seed):
+        barrier.wait(timeout=30)
+        same = []
+        for _ in range(20):
+            x, w, loss, expected_w, expected_x = _square_chain(seed, "add" if seed % 2 else None)
+            loss.backward()
+            same.append(w.grad.tobytes() == expected_w.tobytes()
+                        and x.grad.tobytes() == expected_x.tobytes())
+        outcomes[seed] = same
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert outcomes == {seed: [True] * 20 for seed in seeds}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_child_forked_after_a_backward_gets_its_own_worker():
+    # The parent's worker thread is not copied into a child; a child that
+    # reused the parent's executor would wait on it for ever.
+    _square_chain(37)[2].backward()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            signal.alarm(20)
+            _, w, loss, expected_w, _ = _square_chain(37)
+            loss.backward()
+            os.write(write, b"ok" if w.grad.tobytes() == expected_w.tobytes() else b"no")
+        finally:
+            os._exit(0)
+    os.close(write)
+    _, status = os.waitpid(pid, 0)
+    assert (os.read(read, 2), status) == (b"ok", 0)
+    os.close(read)
+
+
+def test_leaf_gradients_are_arrays_after_backward():
+    from ce_nmt import model as M
+    from ce_nmt.losses import translation_loss
+
+    cfg = M.ModelConfig(src_vocab=9, tgt_vocab=9, depth=1, dim=8, heads=2, ff_dim=16,
+                        emb_dim=6, max_len=6)
+    rng = np.random.default_rng(36)
+    enc, dec = M.init_params(cfg, "encoder", rng), M.init_params(cfg, "decoder", rng)
+    src = np.array([[1, 4, 5, 2], [1, 6, 2, 0]])
+    tgt = np.array([[1, 7, 8, 2], [1, 5, 2, 0]])
+    latent = M.encode(src, src != 0, enc, cfg)
+    logits = M.decode(latent, tgt[:, :-1], tgt[:, :-1] != 0, dec, cfg)
+    loss = translation_loss(logits, tgt[:, 1:], tgt[:, 1:] != 0)
+    loss.backward()
+    assert all(type(p.grad) is np.ndarray for p in [*enc.tensors.values(), *dec.tensors.values()])
+    assert all(node.pending is None for node in _tape(loss))
 
 
 def _holds_tensor(obj, seen):

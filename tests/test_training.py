@@ -103,6 +103,18 @@ def test_adam_non_finite_gradient_raises_before_any_update():
         assert not opt.m[k].any() and not opt.v[k].any()
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0, 0.0])
+def test_adam_rejects_non_finite_or_non_positive_lr(tmp_path, lr):
+    with pytest.raises(ConfigError, match="lr must be finite and > 0"):
+        TR.AdamOptimizer({}, lr=lr, warmup=2)
+    # A library run is refused before its first step, with nothing written.
+    cfg, corpus, vs, vt = tiny_setup()
+    with pytest.raises(ConfigError, match="lr must be"):
+        TR.train_translation(cfg, corpus, vs, vt, seed=1, steps=3, batch_size=8, lr=lr,
+                             warmup=2, out_dir=tmp_path / "pre")
+    assert not (tmp_path / "pre").exists()
+
+
 @pytest.fixture
 def nan_in_one_gradient(monkeypatch):
     """Make every optimizer step see a NaN in one entry of its first gradient;
