@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from . import training as TR
 from .data import ParallelCorpus, Vocabulary, build_vocab, load_parallel_corpus, \
     load_pretrained_embeddings, read_utf8_lines
 from .errors import CENMTError, CollapseError, ConfigError, CorpusFormatError, DivergenceError
-from .model import POOLING_KINDS, ModelConfig
+from .model import BOUNDS, ModelConfig, check_bounds, describe_bounds
 
 log = logging.getLogger("ce_nmt")
 
@@ -67,7 +66,7 @@ class RunConfig:
     ff_dim: int = _opt(0, "feed-forward width (0 = 4*dim)")
     emb_dim: int = _opt(64, "token embedding width")
     proj_dim: int = _opt(32, "projection output width")
-    pooling: str = _opt("mean", "sentence pooling kind", choices=POOLING_KINDS)
+    pooling: str = _opt("mean", "sentence pooling kind")
     dropout: float = _opt(0.0, "dropout rate")
     max_len: int = _opt(32, "max encoded sentence length")
     min_freq: int = _opt(1, "vocabulary frequency cutoff")
@@ -95,17 +94,10 @@ _FIELDS = {f.metadata["key"] or f.name: f for f in dataclasses.fields(RunConfig)
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
 
-# field -> (">=" or ">", bound): the values a numeric option accepts. The
-# options not named here are checked where their config object is built.
-_RANGES = {"seed": (">=", 0), "steps": (">=", 0), "finetune_steps": (">=", -1),
-           "lr": (">", 0), "warmup": (">=", 1), "batch_size": (">=", 1),
-           "min_freq": (">=", 1), "max_vocab": (">=", 5)}
-
-
 def _convert(f: dataclasses.Field, text: str):
     """Parse a flag or config-file value for field ``f``: the type of its
-    default (str when that is None), booleans by word, finite floats, its
-    choices and its range in ``_RANGES``. Raises ValueError on bad input."""
+    default (str when that is None), booleans by word, its choices and its
+    rule in ``model.BOUNDS``. Raises ValueError on bad input."""
     kind = str if f.default is None else type(f.default)
     if kind is bool:
         if text.lower() not in _TRUE | _FALSE:
@@ -115,15 +107,15 @@ def _convert(f: dataclasses.Field, text: str):
         value = kind(text)
     except ValueError:
         raise ValueError(f"invalid {kind.__name__} value: {text!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise ValueError(f"must be finite, got {value}")
     choices = f.metadata["choices"]
     if choices and value not in choices:
         raise ValueError(f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
-    if f.name in _RANGES:
-        op, bound = _RANGES[f.name]
-        if not (value >= bound if op == ">=" else value > bound):
-            raise ValueError(f"must be {op} {bound}, got {value}")
+    if f.name in BOUNDS:
+        try:
+            check_bounds(f.name, value)
+        except ConfigError as exc:
+            # argparse and the config-file error name the option already
+            raise ValueError(str(exc).removeprefix(f"{f.name} ")) from None
     return value
 
 
@@ -171,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 const=True, help=help_text)
             continue
         if f.default is not None:
-            help_text += f" (default {f.default})"
+            bounds = f", {describe_bounds(f.name)}" if f.name in BOUNDS else ""
+            help_text += f" (default {f.default}{bounds})"
         common.add_argument(flag, dest=f.name, default=None, type=_flag_type(f),
                             choices=f.metadata["choices"], help=help_text)
 

@@ -27,7 +27,7 @@ so any change confined to padding leaves unmasked outputs bitwise unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -38,6 +38,66 @@ from .errors import ConfigError
 from .numerics import Tensor
 
 POOLING_KINDS = ("mean", "max")
+
+# a checkpoint stores each tensor dimension as a uint32
+_MAX_SIZE = 2**32 - 1
+
+# The one rule of each bounded config value, whether it comes from a flag, a
+# config-file line, a ModelConfig or CEConfig field (a checkpoint header
+# builds a ModelConfig) or the optimizer's arguments: field -> (lowest,
+# highest, lowest excluded, highest excluded, allowed choices). None is no
+# limit; a float that ends at an excluded math.inf must be finite.
+# finetune_steps -1 means as many as steps, ff_dim 0 means 4*dim, and lam 0
+# (the redundancy term off) is a diagnostic edge.
+BOUNDS = {
+    "seed": (0, None, False, False, ()),
+    "steps": (0, None, False, False, ()),
+    "finetune_steps": (-1, None, False, False, ()),
+    "lr": (0, math.inf, True, True, ()),
+    "warmup": (1, None, False, False, ()),
+    "batch_size": (1, None, False, False, ()),
+    "min_freq": (1, None, False, False, ()),
+    "max_vocab": (5, None, False, False, ()),
+    "src_vocab": (5, _MAX_SIZE, False, False, ()),
+    "tgt_vocab": (5, _MAX_SIZE, False, False, ()),
+    "depth": (1, 24, False, False, ()),
+    "dim": (1, _MAX_SIZE, False, False, ()),
+    "heads": (1, None, False, False, ()),
+    "ff_dim": (0, _MAX_SIZE, False, False, ()),
+    "emb_dim": (1, _MAX_SIZE, False, False, ()),
+    "proj_dim": (1, _MAX_SIZE, False, False, ()),
+    "max_len": (3, None, False, False, ()),
+    "dropout": (0, 1, False, True, ()),
+    "lam": (0, math.inf, False, True, ()),
+    "epochs": (1, 1000, False, False, ()),
+    "pooling": (None, None, False, False, POOLING_KINDS),
+}
+
+
+def describe_bounds(name: str) -> str:
+    """``BOUNDS[name]`` in words, as ``--help`` and the errors give it."""
+    lo, hi, lo_open, hi_open, choices = BOUNDS[name]
+    if choices:
+        return "one of " + ", ".join(map(repr, choices))
+    low = f"{'>' if lo_open else '>='} {lo}"
+    if hi is None:
+        return low
+    if hi == math.inf:
+        return f"finite and {low}"
+    return f"in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+
+
+def check_bounds(name: str, value) -> None:
+    """Raise ``ConfigError("<name> must be <rule>, got <value>")`` unless
+    ``value`` meets ``BOUNDS[name]``."""
+    lo, hi, lo_open, hi_open, choices = BOUNDS[name]
+    if choices:
+        ok = value in choices
+    else:
+        ok = (value > lo if lo_open else value >= lo) \
+            and (hi is None or (value < hi if hi_open else value <= hi))
+    if not ok:
+        raise ConfigError(f"{name} must be {describe_bounds(name)}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,22 +117,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.ff_dim == 0:
             object.__setattr__(self, "ff_dim", 4 * self.dim)
-        if self.src_vocab < 5 or self.tgt_vocab < 5:
-            raise ConfigError("vocab sizes must exceed the 4 reserved ids")
-        if not 1 <= self.depth <= 24:
-            raise ConfigError(f"depth must be in [1, 24], got {self.depth}")
+        for f in fields(self):
+            check_bounds(f.name, getattr(self, f.name))
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.proj_dim < 1:
-            raise ConfigError(f"proj_dim must be >= 1, got {self.proj_dim}")
-        if self.pooling not in POOLING_KINDS:
-            raise ConfigError(f"pooling must be one of {POOLING_KINDS}, got {self.pooling!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.max_len < 3:
-            raise ConfigError(f"max_len must be >= 3, got {self.max_len}")
-        if self.emb_dim < 1 or self.ff_dim < 1:
-            raise ConfigError("emb_dim and ff_dim must be positive")
 
 
 class ParamGroup:

@@ -77,10 +77,8 @@ class AdamOptimizer:
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, warmup: int = 4000):
-        if warmup < 1:
-            raise ConfigError(f"warmup must be >= 1, got {warmup}")
-        if not (math.isfinite(lr) and lr > 0):
-            raise ConfigError(f"lr must be finite and > 0, got {lr}")
+        M.check_bounds("warmup", warmup)
+        M.check_bounds("lr", lr)
         self.params = dict(params)
         self.lr = lr
         self.warmup = warmup
@@ -352,7 +350,7 @@ def _read_header(reader: _Reader) -> tuple[ModelConfig, str, int, int, list[str]
         header = json.loads(reader.take(reader.uint()).decode("utf-8"))
         cfg = ModelConfig(**header["config"])
         stage, seed, step, groups = (header[k] for k in ("stage", "seed", "step", "groups"))
-    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{reader.source}: malformed checkpoint header: {exc}") from exc
     ints = [seed, step] + [getattr(cfg, f.name) for f in fields(cfg) if f.type in ("int", int)]
     if not all(type(x) is int for x in ints):
@@ -428,17 +426,10 @@ class CEConfig:
     proj_dim: int = 32
 
     def __post_init__(self):
-        # lam = 0 is permitted as a diagnostic edge (redundancy term inert).
-        if not 0 <= self.lam < math.inf:
-            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
-        if not 1 <= self.epochs <= 1000:
-            raise ConfigError(f"epochs must be in [1, 1000], got {self.epochs}")
+        for f in fields(self):
+            M.check_bounds(f.name, getattr(self, f.name))
         if self.batch_size < 2:
             raise ConfigError(f"CE batch size must be >= 2, got {self.batch_size}")
-        if self.pooling not in M.POOLING_KINDS:
-            raise ConfigError(f"pooling must be one of {M.POOLING_KINDS}")
-        if self.proj_dim < 1:
-            raise ConfigError(f"proj_dim must be >= 1, got {self.proj_dim}")
 
 
 # -- stage loops -------------------------------------------------------------------

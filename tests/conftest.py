@@ -5,6 +5,13 @@ import os
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and host, keep no
+# example database, and have no per-example deadline on a loaded host.
+settings.register_profile("ce-nmt", derandomize=True, database=None, deadline=None,
+                          max_examples=200)
+settings.load_profile("ce-nmt")
 
 
 def openblas_corename() -> str:

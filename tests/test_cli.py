@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ce_nmt import cli
 from ce_nmt import model as M
@@ -639,7 +642,14 @@ OUT_OF_RANGE = [("train", "seed", "-1"), ("train", "steps", "-3"),
                 ("finetune", "finetune_steps", "-5"), ("train", "lr", "0"),
                 ("train", "lr", "-1"), ("train", "batch_size", "0"),
                 ("eval", "batch_size", "0"), ("train", "min_freq", "0"),
-                ("train", "max_vocab", "4")]
+                ("train", "max_vocab", "4"), ("train", "warmup", "0"),
+                ("pipeline", "heads", "0"), ("pipeline", "heads", "-4"),
+                ("pipeline", "dim", "-8"), ("pipeline", "dim", str(2**32)),
+                ("pipeline", "depth", "0"), ("pipeline", "depth", "25"),
+                ("pipeline", "ff_dim", "-1"), ("pipeline", "emb_dim", "0"),
+                ("pipeline", "proj_dim", "0"), ("pipeline", "max_len", "2"),
+                ("pipeline", "dropout", "1.0"), ("pipeline", "epochs", "0"),
+                ("pipeline", "lambda", "-1"), ("pipeline", "pooling", "sum")]
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
@@ -666,10 +676,49 @@ def test_out_of_range_number_exits_2(toy_files, capsys, command, name, value, vi
     assert not (tmp / "o").exists()
 
 
+# The texts a config line can carry: no '#' (a comment), no line break, no
+# whitespace at either end (it is stripped), and no surrogate (the file is UTF-8).
+LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="#\n\r")).map(str.strip)
+VALUE_TEXT = st.one_of(LINE_TEXT, st.integers().map(str), st.floats().map(str),
+                       st.sampled_from(["mean", "max", "bleu", "float32", "1e-3", "0x10"]))
+# boolean options are flags without a value
+VALUE_KEYS = [key for key, f in cli._FIELDS.items() if not isinstance(f.default, bool)]
+PARSER = cli.build_parser()
+REJECTED = object()
+
+
+@pytest.fixture(scope="module")
+def conf_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("conf")
+
+
+@given(key=st.sampled_from(VALUE_KEYS), text=VALUE_TEXT)
+def test_flag_and_config_line_give_the_same_value(conf_dir, key, text):
+    name = cli._FIELDS[key].name
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            by_flag = getattr(PARSER.parse_args(["train", f"--{key.replace('_', '-')}={text}"]),
+                              name)
+    except SystemExit:
+        by_flag = REJECTED
+    conf = conf_dir / "value.conf"
+    conf.write_text(f"{key} = {text}\n", encoding="utf-8")
+    try:
+        by_line = cli.parse_config_file(conf)[name]
+    except ConfigError:
+        by_line = REJECTED
+    assert (type(by_flag), by_flag) == (type(by_line), by_line)
+
+
 @pytest.mark.parametrize("command, flag, value", [
     pytest.param("pipeline", "--warmup", "0", id="--warmup"),
     pytest.param("pipeline", "--epochs", "0", id="--epochs"),
     pytest.param("pipeline", "--depth", "0", id="--depth"),
+    # the model's own check on heads, dim % heads, divides by 0 and lets -4 by
+    pytest.param("pipeline", "--heads", "0", id="--heads-0"),
+    pytest.param("pipeline", "--heads", "-4", id="--heads-4"),
+    pytest.param("pipeline", "--dim", "-8", id="--dim"),
     # ``nan < 0`` is false and ``inf > 0`` true: a range check alone lets them by.
     pytest.param("pipeline", "--lambda", "nan", id="--lambda-nan"),
     pytest.param("pipeline", "--lambda", "inf", id="--lambda-inf"),
@@ -706,6 +755,16 @@ def test_help_flags_match_config_keys(capsys):
     flags.discard("--help")
     expected = {"--config"} | {f"--{k.replace('_', '-')}" for k in cli._FIELDS}
     assert flags == expected
+
+
+def test_help_gives_each_bounded_option_its_range(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["pipeline", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for f in cli._FIELDS.values():
+        if f.name in M.BOUNDS:
+            assert f"(default {f.default}, {M.describe_bounds(f.name)})" in help_text
+    assert "(default 4, >= 1)" in help_text
 
 
 def test_bad_flag_usage_exits_2():

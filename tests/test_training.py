@@ -1,16 +1,19 @@
 import dataclasses
+import functools
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from ce_nmt import cli
 from ce_nmt import model as M
 from ce_nmt import training as TR
 from ce_nmt.data import build_vocab
-from ce_nmt.errors import CollapseError, ConfigError, DivergenceError, NumericError
+from ce_nmt.errors import CENMTError, CollapseError, ConfigError, DivergenceError, NumericError
 from ce_nmt.numerics import Tensor
-from ce_nmt.synthetic import make_cipher_corpus
+from ce_nmt.synthetic import make_cipher_corpus, write_parallel_files
 
 from _oracles import adam_step_reference, make_identity_corpus, params_equal
 
@@ -504,6 +507,7 @@ def test_checkpoint_format_v1_bytes_pinned():
         "75adfea6d6205d9c5b6f52069f43002eb74eb5de48c69b559704dc80395a00af"
 
 
+@functools.cache
 def _small_checkpoint_bytes():
     # Every group present, every tensor small: a few hundred loads a second.
     cfg = M.ModelConfig(src_vocab=6, tgt_vocab=5, depth=1, dim=4, heads=2, ff_dim=4,
@@ -513,6 +517,50 @@ def _small_checkpoint_bytes():
                          decoder=M.init_params(cfg, "decoder", rng),
                          projection=M.init_params(cfg, "projection", rng))
     return TR.checkpoint_bytes(ckpt)
+
+
+def _set_header_field(blob: bytes, keys: tuple[str, ...], value) -> bytes:
+    """``blob`` with the header entry at ``keys``, a path into its JSON, set to ``value``."""
+    start = len(TR.CHECKPOINT_MAGIC) + 4
+    size = int.from_bytes(blob[start:start + 4], "little")
+    header = json.loads(blob[start + 4:start + 4 + size])
+    parent = header
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:start] + len(encoded).to_bytes(4, "little") + encoded + blob[start + 4 + size:]
+
+
+@pytest.mark.parametrize("field, value", [("heads", 0), ("heads", -4), ("dim", -8),
+                                          ("depth", 0)])
+def test_checkpoint_header_out_of_bounds_raises_config_error(tmp_path, field, value):
+    # The header builds its ModelConfig by the rule that checks the flag.
+    blob = _set_header_field(_small_checkpoint_bytes(), ("config", field), value)
+    with pytest.raises(ConfigError, match=rf"malformed checkpoint header: {field} must be"):
+        TR.parse_checkpoint(blob)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob)
+    corpus = make_cipher_corpus(4, vocab_size=4, min_len=2, max_len=3, seed=0)
+    write_parallel_files(corpus, tmp_path / "c.src", tmp_path / "c.tgt")
+    assert cli.main(["eval", "--mode", "bleu", "--checkpoint", str(path),
+                     "--source", str(tmp_path / "c.src"), "--target", str(tmp_path / "c.tgt"),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+HEADER_FIELDS = [("config", f.name) for f in dataclasses.fields(M.ModelConfig)] \
+    + [(key,) for key in ("stage", "seed", "step", "groups", "optimizer")]
+
+
+@given(keys=st.sampled_from(HEADER_FIELDS),
+       value=st.one_of(st.integers(), st.floats(), st.booleans(), st.text()))
+def test_checkpoint_header_mutation_loads_or_raises(keys, value):
+    try:
+        loaded = TR.parse_checkpoint(_set_header_field(_small_checkpoint_bytes(), keys, value))
+    except CENMTError:
+        return
+    assert isinstance(loaded, TR.Checkpoint)
 
 
 def test_checkpoint_truncated_at_every_offset_raises_config_error(tmp_path):
