@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: prepare, train, ce, finetune, pipeline, eval. Every run-config
-key can be set in a flat ``key = value`` config file (# comments allowed) and
+The subcommands are the entries of ``COMMANDS``. Every run-config key can
+be set in a flat ``key = value`` config file (# comments allowed) and
 overridden by the flag of the same name; unknown keys are rejected.
 
 Exit codes: 0 ok, 2 usage or input error, 3 collapse abort, 4 divergence.
@@ -11,13 +11,14 @@ Logging level comes from CE_NMT_LOG (quiet, info, debug) and goes to stderr.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
-import functools
 import json
 import logging
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -81,11 +82,9 @@ class RunConfig:
     epochs: int = _opt(50, "context-enhancement epochs")
     skip_pretrain: bool = _opt(False, "start enhancement from a fresh encoder")
     reuse_decoder: bool = _opt(False, "fine-tune with the carried decoder instead of a fresh one")
+    # numpy's own name of the dtype, passed on as it is
     precision: str = _opt("float64", "numeric precision (float64 is the reproducibility mode)",
                           choices=("float32", "float64"))
-
-    def dtype(self):
-        return np.float32 if self.precision == "float32" else np.float64
 
 
 # config-file key -> field, in declaration order
@@ -173,12 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Context-enhanced NMT: prepare data, train, enhance, fine-tune, evaluate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("prepare", parents=[common], help="build vocabularies and corpus stats")
-    sub.add_parser("train", parents=[common], help="stage 1: translation pre-training")
-    sub.add_parser("ce", parents=[common], help="stage 2: context enhancement")
-    sub.add_parser("finetune", parents=[common], help="stage 3: translation fine-tuning")
-    sub.add_parser("pipeline", parents=[common], help="all three stages")
-    sub.add_parser("eval", parents=[common], help="bleu / classify / centroid / diagnostics")
+    for name, (help_text, _) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -238,7 +233,7 @@ def _load_checkpoint_arg(cfg: RunConfig, attr: str = "checkpoint") -> TR.Checkpo
     path = Path(getattr(cfg, attr))
     if not path.exists():
         raise ConfigError(f"checkpoint not found: {path}")
-    return TR.load_checkpoint(path, dtype=cfg.dtype())
+    return TR.load_checkpoint(path, dtype=cfg.precision)
 
 
 def _check_vocab_size(vocab_path, vocab: Vocabulary, size: int, ckpt_path) -> None:
@@ -282,21 +277,11 @@ def _save_vocabs(cfg: RunConfig, vocab_src: Vocabulary, vocab_tgt: Vocabulary) -
 def cmd_prepare(cfg: RunConfig) -> int:
     corpus, _, vocab_src, vocab_tgt = _open_run(cfg, from_checkpoint=False)
     out = _save_vocabs(cfg, vocab_src, vocab_tgt)
-
-    def histogram(side):
-        counts: dict[int, int] = {}
-        for pair in corpus:
-            n = len(getattr(pair, side))
-            counts[n] = counts.get(n, 0) + 1
-        return {str(k): counts[k] for k in sorted(counts)}
-
-    stats = {
-        "pair_count": len(corpus),
-        "encoder_vocab": len(vocab_src),
-        "decoder_vocab": len(vocab_tgt),
-        "source_length_histogram": histogram("source"),
-        "target_length_histogram": histogram("target"),
-    }
+    stats = {"pair_count": len(corpus), "encoder_vocab": len(vocab_src),
+             "decoder_vocab": len(vocab_tgt)}
+    for side in ("source", "target"):
+        counts = collections.Counter(len(getattr(pair, side)) for pair in corpus)
+        stats[f"{side}_length_histogram"] = {str(k): counts[k] for k in sorted(counts)}
     (out / "corpus_stats.json").write_text(json.dumps(stats, indent=2) + "\n")
     print(json.dumps(stats))
     return EXIT_OK
@@ -322,7 +307,7 @@ def cmd_stages(cfg: RunConfig, stages: tuple[str, ...]) -> int:
         stages=stages, start=start, steps=cfg.steps, finetune_steps=cfg.finetune_steps,
         batch_size=cfg.batch_size, lr=cfg.lr, warmup=cfg.warmup,
         skip_pretrain=cfg.skip_pretrain and stages == TR.STAGES,
-        reuse_decoder=cfg.reuse_decoder, embed_table=embed_table, dtype=cfg.dtype(),
+        reuse_decoder=cfg.reuse_decoder, embed_table=embed_table, dtype=cfg.precision,
     )
     for stage, path in result.paths.items():
         print(f"{stage}: {path}")
@@ -374,13 +359,16 @@ def cmd_eval(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# stage command -> the consecutive stages of ``training.STAGES`` it runs
-STAGE_COMMANDS = {"train": TR.STAGES[:1], "ce": TR.STAGES[1:2], "finetune": TR.STAGES[2:],
-                  "pipeline": TR.STAGES}
-
-COMMANDS = {"prepare": cmd_prepare, "eval": cmd_eval,
-            **{name: functools.partial(cmd_stages, stages=stages)
-               for name, stages in STAGE_COMMANDS.items()}}
+# The one table of subcommands, in ``--help`` order: name -> (help line,
+# what runs it). A stage command runs consecutive stages of ``training.STAGES``.
+COMMANDS = {
+    "prepare": ("build vocabularies and corpus stats", cmd_prepare),
+    "train": ("stage 1: translation pre-training", partial(cmd_stages, stages=TR.STAGES[:1])),
+    "ce": ("stage 2: context enhancement", partial(cmd_stages, stages=TR.STAGES[1:2])),
+    "finetune": ("stage 3: translation fine-tuning", partial(cmd_stages, stages=TR.STAGES[2:])),
+    "pipeline": ("all three stages", partial(cmd_stages, stages=TR.STAGES)),
+    "eval": ("bleu / classify / centroid / diagnostics", cmd_eval),
+}
 
 
 def _configure_logging() -> None:
@@ -402,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = resolve_config(args)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command][1](cfg)
     except CollapseError as exc:
         log.error("collapse: %s", exc)
         return EXIT_COLLAPSE

@@ -157,10 +157,14 @@ def build_vocab(sentences, min_freq: int = 1, max_size: int = 50_000) -> Vocabul
 
 
 def encode_sentence(tokens: Sequence[str], vocab: Vocabulary, max_len: int) -> list[int]:
-    """BOS + token ids (UNK for unknown) + EOS, truncated with EOS kept last."""
+    """BOS + token ids + EOS, truncated with EOS kept last. An unknown token,
+    and corpus text that spells a reserved token (``<pad>``, ``<bos>``,
+    ``<eos>``), encode as UNK: a PAD, BOS or EOS id inside a sentence would
+    mask the word out or mark a sentence boundary."""
     if max_len < 3:
         raise ValueError(f"max_len must be >= 3, got {max_len}")
-    body = [vocab.id(t) for t in tokens][: max_len - 2]
+    # the reserved ids are the lowest, UNK the highest of them
+    body = [max(vocab.id(t), UNK) for t in tokens][: max_len - 2]
     return [BOS, *body, EOS]
 
 

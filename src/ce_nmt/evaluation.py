@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model as M
-from .data import BOS, EOS, PAD, ParallelCorpus, Vocabulary, batch_iter, source_batches, \
+from .data import BOS, EOS, PAD, UNK, ParallelCorpus, Vocabulary, batch_iter, source_batches, \
     subtract_centroid
 from .errors import ConfigError, ProtocolError
 from .losses import cross_correlation
@@ -55,16 +55,12 @@ class ProbeClassifier:
     feature_mean: np.ndarray
     feature_scale: np.ndarray
 
-    def _features(self, embeddings: np.ndarray) -> np.ndarray:
-        return (np.asarray(embeddings, dtype=np.float64) - self.feature_mean) / self.feature_scale
-
-    def predict(self, embeddings: np.ndarray) -> np.ndarray:
-        logits = self._features(embeddings) @ self.weights + self.bias
-        return logits.argmax(axis=1)
-
     def evaluate(self, embeddings: np.ndarray, ids: np.ndarray) -> float:
         """Accuracy of the predicted language ids against ``ids``."""
-        return float((self.predict(embeddings) == ids).mean())
+        features = (np.asarray(embeddings, dtype=np.float64) - self.feature_mean) \
+            / self.feature_scale
+        predicted = (features @ self.weights + self.bias).argmax(axis=1)
+        return float((predicted == ids).mean())
 
 
 def _language_ids(embeddings: np.ndarray, labels) -> tuple[list, np.ndarray]:
@@ -313,13 +309,15 @@ def word_probe_embeddings(ckpt, corpus: ParallelCorpus,
                           vocab_enc: Vocabulary) -> tuple[np.ndarray, list[str]]:
     """Embedding-table rows for tokens attributable to exactly one language.
 
-    Tokens that occur on both sides of the corpus are ambiguous and skipped.
+    Tokens that occur on both sides of the corpus are ambiguous and skipped,
+    and so are tokens outside ``vocab_enc`` and corpus text that spells a
+    reserved token (``<pad>`` and the like), whose rows are not a word's.
     """
     src_tokens = {t for p in corpus for t in p.source}
     tgt_tokens = {t for p in corpus for t in p.target}
     kept = [(tok, lang) for exclusive, lang in ((src_tokens - tgt_tokens, SOURCE_LANG),
                                                 (tgt_tokens - src_tokens, TARGET_LANG))
-            for tok in sorted(exclusive) if tok in vocab_enc]
+            for tok in sorted(exclusive) if vocab_enc.id(tok) > UNK]
     if not kept:
         raise ProtocolError("no language-exclusive tokens found in the vocabulary")
     table = ckpt.encoder["embed"].values
@@ -343,8 +341,7 @@ def _float_row(values) -> list[str]:
 
 @no_grad()
 def export_diagnostics(ckpt, corpus: ParallelCorpus, vocab_enc: Vocabulary,
-                       out_dir, vocab_tgt: Vocabulary | None = None,
-                       batch_size: int = 8) -> list[Path]:
+                       out_dir, *, vocab_tgt: Vocabulary, batch_size: int = 8) -> list[Path]:
     """Dump correlation matrices, attention maps, and embedding tables as CSV.
 
     Written files (availability depends on which parameter groups the
@@ -356,8 +353,8 @@ def export_diagnostics(ckpt, corpus: ParallelCorpus, vocab_enc: Vocabulary,
         one (B*tq) x tk block per layer and head,
       - sentence_embeddings.csv, word_embeddings.csv   labeled dumps.
 
-    ``vocab_tgt`` is required to drive the decoder attention probe when the
-    checkpoint carries decoder parameters.
+    The probe batch for the attention maps reads its targets under
+    ``vocab_tgt``, the decoder's vocabulary.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,15 +375,11 @@ def export_diagnostics(ckpt, corpus: ParallelCorpus, vocab_enc: Vocabulary,
                                       [f"c{j}" for j in range(cfg.proj_dim)],
                                       (_float_row(row) for row in cross_correlation(z_s, z_t).values)))
 
-    # The targets are read only with a decoder, and then under ``vocab_tgt``.
-    probe_batch = next(batch_iter(corpus, vocab_enc, vocab_tgt or vocab_enc, batch_size,
-                                  max_len=cfg.max_len))
+    probe_batch = next(batch_iter(corpus, vocab_enc, vocab_tgt, batch_size, max_len=cfg.max_len))
     with attention_maps() as encoder_maps:
         latent = M.encode(probe_batch.source_ids, probe_batch.source_mask, ckpt.encoder, cfg)
     maps = {"encoder_self": encoder_maps}
     if ckpt.decoder is not None:
-        if vocab_tgt is None:
-            raise ConfigError("vocab_tgt is required to export decoder attention maps")
         with attention_maps() as decoder_maps:
             M.decode(latent, probe_batch.target_ids, probe_batch.target_mask, ckpt.decoder, cfg)
         # ``decode`` runs each layer's self-attention before its cross-attention.

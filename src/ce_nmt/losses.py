@@ -17,13 +17,13 @@ with no tape, for diagnostics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics as N
 from .errors import NumericError, ShapeError
+from .model import check_bounds
 from .numerics import Tensor
 
 CORRELATION_TOLERANCE = 1e-6
@@ -83,11 +83,11 @@ def barlow_twins_loss(z_s: Tensor, z_t: Tensor, lam: float,
                       eps: float = DENOM_EPS) -> CELossBreakdown:
     """Invariance plus lambda-weighted redundancy, differentiable end to end.
 
-    ``lam`` must be finite and positive in training; zero is accepted as a
-    diagnostic edge where the redundancy term cannot influence gradients.
+    ``lam`` must meet ``model.BOUNDS["lam"]`` (else ``ConfigError``): finite
+    and >= 0, zero being a diagnostic edge where the redundancy term cannot
+    influence gradients.
     """
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    check_bounds("lam", lam)
     loss, c, invariance, redundancy = N.barlow_twins(N.batch_norm_train(z_s),
                                                      N.batch_norm_train(z_t), lam, eps)
     return CELossBreakdown(

@@ -37,7 +37,9 @@ from .data import BOS
 from .errors import ConfigError
 from .numerics import Tensor
 
-POOLING_KINDS = ("mean", "max")
+# sentence pooling kind -> the masked pool of ``numerics`` it runs
+POOLS = {"mean": N.masked_mean_pool, "max": N.masked_max_pool}
+POOLING_KINDS = tuple(POOLS)
 
 # a checkpoint stores each tensor dimension as a uint32
 _MAX_SIZE = 2**32 - 1
@@ -48,7 +50,10 @@ _MAX_SIZE = 2**32 - 1
 # highest, lowest excluded, highest excluded, allowed choices). None is no
 # limit; a float that ends at an excluded math.inf must be finite.
 # finetune_steps -1 means as many as steps, ff_dim 0 means 4*dim, and lam 0
-# (the redundancy term off) is a diagnostic edge.
+# (the redundancy term off) is a diagnostic edge. max_len sizes the buffers
+# a DecodeCache allocates up front and greedy decoding's output rows, so it
+# is capped at 1024 positions: far past any sentence here, and a checkpoint
+# header cannot ask for more than memory holds.
 BOUNDS = {
     "seed": (0, None, False, False, ()),
     "steps": (0, None, False, False, ()),
@@ -66,7 +71,7 @@ BOUNDS = {
     "ff_dim": (0, _MAX_SIZE, False, False, ()),
     "emb_dim": (1, _MAX_SIZE, False, False, ()),
     "proj_dim": (1, _MAX_SIZE, False, False, ()),
-    "max_len": (3, None, False, False, ()),
+    "max_len": (3, 1024, False, False, ()),
     "dropout": (0, 1, False, True, ()),
     "lam": (0, math.inf, False, True, ()),
     "epochs": (1, 1000, False, False, ()),
@@ -408,16 +413,15 @@ def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
     if start == 0 and (tgt_ids[:, 0] != BOS).any():
         raise ConfigError("target prefix must begin with BOS")
     if cache is None:
-        pe = sinusoidal_positions(t2, cfg.dim)
-        self_mask = np.tril(np.ones((t2, t2), dtype=bool))[None, :, :] & tgt_mask[:, None, :]
+        key_mask, pe = tgt_mask, sinusoidal_positions(t2, cfg.dim)
     else:
         if cache.key_mask.shape[0] != B:
             raise ConfigError(f"the cache serves a batch of {cache.key_mask.shape[0]} rows, "
                               f"this call has {B}")
         cache.key_mask[:, start:end] = tgt_mask
-        pe = cache.positions[start:end]
-        causal = np.tril(np.ones((t2, end), dtype=bool), k=start)
-        self_mask = causal[None, :, :] & cache.key_mask[:, None, :end]
+        key_mask, pe = cache.key_mask, cache.positions[start:end]
+    # query j (position start + j) sees keys 0 .. start + j that are not PAD
+    self_mask = np.tril(np.ones((t2, end), dtype=bool), k=start) & key_mask[:, None, :end]
     x = _embed_inputs(tgt_ids, pe, params, cfg, rng)
     attend = N.multi_head_attention if cache is None else N.attend_cached
     for i in range(cfg.depth):
@@ -446,12 +450,9 @@ def decode(latent: LatentSequence, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
 
 def pool(latent: LatentSequence, kind: str) -> Tensor:
     """Aggregate unmasked latent states into one vector per sentence: the
-    sentence embeddings (B, dim)."""
-    if kind == "mean":
-        return N.masked_mean_pool(latent.values, latent.mask)
-    if kind == "max":
-        return N.masked_max_pool(latent.values, latent.mask)
-    raise ConfigError(f"pooling must be one of {POOLING_KINDS}, got {kind!r}")
+    sentence embeddings (B, dim), by the ``POOLS`` entry of ``kind``."""
+    check_bounds("pooling", kind)
+    return POOLS[kind](latent.values, latent.mask)
 
 
 def project(sentences: Tensor, params: ParamGroup) -> Tensor:

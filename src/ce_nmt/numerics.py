@@ -385,7 +385,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
     """``x @ w + b`` over the last axis of ``x`` (any number of leading axes).
 
     One tape node. Leading axes are flattened into one for a single 2-D
-    product, the way a reshape / matmul / add / reshape chain computes it.
+    product, the way a reshape / matmul / add / reshape chain computes it;
+    on a 2-D ``x`` each reshape keeps the shape and is a view, so BLAS sees
+    the same arrays.
 
     With ``rows``, ``x`` is (n, in): the n valid rows of that layout, packed.
     The product, the input gradient and the bias gradient (a column sum, to
@@ -403,19 +405,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise ShapeError(f"linear expects (..., n) x (n, m), got {x.shape} and {w.shape}")
     if rows is not None and (xv.ndim != 2 or xv.shape[0] != rows.n):
         raise ShapeError(f"linear with rows expects ({rows.n}, n) packed rows, got {x.shape}")
-    flat = xv if xv.ndim == 2 else xv.reshape((-1, xv.shape[-1]))
+    flat = xv.reshape((-1, xv.shape[-1]))
     out_values = flat @ wv
     if b is not None:
         out_values = out_values + b.values
     flat_shape = out_values.shape
-    if xv.ndim != 2:
-        out_values = out_values.reshape((*xv.shape[:-1], wv.shape[1]))
+    out_values = out_values.reshape((*xv.shape[:-1], wv.shape[1]))
     nx, nw = x._node, w._node
     nb = None if b is None else b._node
 
     def backward(g):
-        if len(nx.shape) != 2:
-            g = g.reshape(flat_shape)
+        g = g.reshape(flat_shape)
         if nb is not None:
             _accumulate(nb, _unbroadcast(g, nb.shape))
         if nw.requires_grad:
@@ -424,7 +424,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
             nw.pending = _worker.submit(np.matmul, xr.T, gr, out=np.empty(
                 (xr.shape[1], gr.shape[1]), dtype=np.result_type(xr.dtype, gr.dtype)))
         gx = g @ wv.swapaxes(-1, -2)
-        _accumulate(nx, gx if len(nx.shape) == 2 else gx.reshape(nx.shape))
+        _accumulate(nx, gx.reshape(nx.shape))
 
     return _result(out_values, (nx, nw) if nb is None else (nx, nw, nb), backward)
 
@@ -495,8 +495,9 @@ def gather_rows(x: Tensor, rows: RowLayout) -> Tensor:
 
 
 def _softmax_values(values: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax along ``axis`` with exactly zero weight where ``mask`` (of
-    ``values``' shape) is False; a row with no valid position raises."""
+    """Softmax along ``axis`` with exactly zero weight where ``mask``
+    (broadcast against ``values``) is False; a row with no valid position
+    raises, checked on ``mask`` before it is broadcast."""
     if not mask.any(axis=axis).all():
         raise DegenerateInputError("softmax: a row has no unmasked position")
     scores = np.where(mask, values, -np.inf)
@@ -543,8 +544,7 @@ def _attention_forward(q3: np.ndarray, k3t: np.ndarray, v3: np.ndarray, mask: np
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim == 2:
         mask = mask[:, None, :]
-    full = np.broadcast_to(mask[:, None, :, :], (B, num_heads, tq, tk))
-    weights = _softmax_values(scores.reshape((B, num_heads, tq, tk)), full, -1)
+    weights = _softmax_values(scores.reshape((B, num_heads, tq, tk)), mask[:, None], -1)
     if _state.maps is not None:
         _state.maps.append(weights.copy())
     weights = weights.reshape((bh, tq, tk))

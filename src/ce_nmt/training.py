@@ -212,38 +212,28 @@ class CollapseMonitor:
     def __init__(self):
         self.observations = 0
         self.initial_std: float | None = None
-        self.latest_std: float | None = None
-        self.latest_rank: float | None = None
 
     def observe(self, embeddings: np.ndarray) -> CollapseReport:
+        """Record one batch of embeddings and report on it."""
         emb = np.asarray(embeddings, dtype=np.float64)
         self.observations += 1
-        self.latest_std = float(emb.std(axis=0).mean())
-        self.latest_rank = effective_rank(emb)
+        std, rank = float(emb.std(axis=0).mean()), effective_rank(emb)
         if self.initial_std is None:
-            self.initial_std = self.latest_std
-        return self.report()
-
-    def report(self) -> CollapseReport:
-        base = CollapseReport(
-            status="insufficient data",
-            observations=self.observations,
-            initial_std=self.initial_std,
-            latest_std=self.latest_std,
-            effective_rank=self.latest_rank,
-        )
+            self.initial_std = std
+        report = CollapseReport("insufficient data", self.observations, self.initial_std,
+                                std, rank)
         if self.observations < 2:
-            return base
-        if self.latest_rank < COLLAPSE_MIN_RANK:
-            base.status = "collapsed"
-            base.reason = f"effective rank {self.latest_rank:.3f} < {COLLAPSE_MIN_RANK}"
-        elif self.latest_std < COLLAPSE_REL_STD * self.initial_std:
-            base.status = "collapsed"
-            base.reason = (f"mean per-dim std {self.latest_std:.3e} below "
-                           f"{COLLAPSE_REL_STD} x initial {self.initial_std:.3e}")
+            return report
+        if rank < COLLAPSE_MIN_RANK:
+            report.status = "collapsed"
+            report.reason = f"effective rank {rank:.3f} < {COLLAPSE_MIN_RANK}"
+        elif std < COLLAPSE_REL_STD * self.initial_std:
+            report.status = "collapsed"
+            report.reason = (f"mean per-dim std {std:.3e} below "
+                             f"{COLLAPSE_REL_STD} x initial {self.initial_std:.3e}")
         else:
-            base.status = "ok"
-        return base
+            report.status = "ok"
+        return report
 
 
 # -- checkpoints ----------------------------------------------------------------
@@ -280,11 +270,7 @@ def _record_head(name: str, shape: tuple[int, ...]) -> bytes:
 
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     """Serialize: magic, version, JSON header, then named float32 tensors."""
-    groups = [("encoder", ckpt.encoder)]
-    if ckpt.decoder is not None:
-        groups.append(("decoder", ckpt.decoder))
-    if ckpt.projection is not None:
-        groups.append(("projection", ckpt.projection))
+    groups = [(g, getattr(ckpt, g)) for g in M.GROUPS if getattr(ckpt, g) is not None]
     header = {
         "config": asdict(ckpt.config),
         "stage": ckpt.stage,
@@ -379,7 +365,7 @@ def parse_checkpoint(raw: bytes, dtype=np.float64, source="checkpoint") -> Check
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"{source}: unsupported checkpoint version {version}")
     cfg, stage, seed, step, group_names = _read_header(reader)
-    groups = {}
+    groups = dict.fromkeys(M.GROUPS)
     for group_name in group_names:
         tensors = {}
         for name, shape, _ in M.param_layout(cfg, group_name):
@@ -393,15 +379,10 @@ def parse_checkpoint(raw: bytes, dtype=np.float64, source="checkpoint") -> Check
                 tensors[name] = Tensor(values.astype(dtype), requires_grad=True)
             except NumericError as exc:
                 raise ConfigError(f"{source}: tensor {full}: {exc}") from exc
-        groups[group_name] = tensors
+        groups[group_name] = ParamGroup(tensors)
     if reader.pos != len(reader.raw):
         raise ConfigError(f"{source}: unexpected bytes after the last tensor")
-    return Checkpoint(
-        config=cfg, stage=stage, seed=seed, step=step,
-        encoder=ParamGroup(groups["encoder"]),
-        decoder=ParamGroup(groups["decoder"]) if "decoder" in groups else None,
-        projection=ParamGroup(groups["projection"]) if "projection" in groups else None,
-    )
+    return Checkpoint(config=cfg, stage=stage, seed=seed, step=step, **groups)
 
 
 def _flatten(groups: dict[str, ParamGroup | None]) -> dict[str, Tensor]:

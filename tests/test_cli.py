@@ -648,6 +648,7 @@ OUT_OF_RANGE = [("train", "seed", "-1"), ("train", "steps", "-3"),
                 ("pipeline", "depth", "0"), ("pipeline", "depth", "25"),
                 ("pipeline", "ff_dim", "-1"), ("pipeline", "emb_dim", "0"),
                 ("pipeline", "proj_dim", "0"), ("pipeline", "max_len", "2"),
+                ("pipeline", "max_len", "1000000000000"),
                 ("pipeline", "dropout", "1.0"), ("pipeline", "epochs", "0"),
                 ("pipeline", "lambda", "-1"), ("pipeline", "pooling", "sum")]
 
@@ -765,6 +766,15 @@ def test_help_gives_each_bounded_option_its_range(capsys):
         if f.name in M.BOUNDS:
             assert f"(default {f.default}, {M.describe_bounds(f.name)})" in help_text
     assert "(default 4, >= 1)" in help_text
+
+
+def test_help_lists_the_command_table_in_order(capsys):
+    assert cli.main(["--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert "{" + ",".join(cli.COMMANDS) + "}" in help_text
+    # argparse indents each subcommand line by four spaces, nothing else
+    listed = [line.split(None, 1) for line in help_text.splitlines() if line.startswith("    ")]
+    assert listed == [[name, help_line] for name, (help_line, _) in cli.COMMANDS.items()]
 
 
 def test_bad_flag_usage_exits_2():

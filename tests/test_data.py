@@ -148,6 +148,15 @@ def test_encode_known_token():
     assert encode_sentence(["a"], v, 8) == [BOS, 4, EOS]
 
 
+def test_encode_reserved_token_text_as_unk():
+    # Corpus text that spells a reserved token is not that token: encoded as
+    # PAD the word would be masked out, as EOS or BOS it would mark a
+    # sentence boundary inside the sentence.
+    v = build_vocab([tokenize("a b <pad> c <eos> d"), tokenize("x <BOS> y")])
+    assert encode_sentence(tokenize("a <pad> b <eos> c <BOS> <unk>"), v, 32) == \
+        [BOS, 4, UNK, 5, UNK, 6, UNK, UNK, EOS]
+
+
 def test_encode_truncation_keeps_eos():
     v = build_vocab([[f"w{i}" for i in range(10)]])
     ids = encode_sentence([f"w{i}" for i in range(10)], v, 5)

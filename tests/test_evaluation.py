@@ -11,7 +11,8 @@ from ce_nmt import evaluation as E
 from ce_nmt import model as M
 from ce_nmt import numerics as N
 from ce_nmt import training as TR
-from ce_nmt.data import BOS, EOS, PAD, Vocabulary, build_vocab, source_batches
+from ce_nmt.data import BOS, EOS, PAD, ParallelCorpus, SentencePair, Vocabulary, build_vocab, \
+    source_batches
 from ce_nmt.errors import ProtocolError
 from ce_nmt.synthetic import make_cipher_corpus
 
@@ -415,6 +416,16 @@ def test_word_probe_embeddings_exclusive_tokens(trained_toy):
     emb, labels = E.word_probe_embeddings(ckpt, corpus, vocab_joint)
     assert emb.shape[1] == cfg.emb_dim
     assert set(labels) == {"src", "tgt"}
+
+
+def test_word_probe_embeddings_skip_reserved_token_text(trained_toy):
+    # "<pad>" and "<eos>" occur on one side only, yet their rows are PAD's
+    # and EOS's, not a word's.
+    corpus, vocab_joint, _, _, ckpt = trained_toy
+    spelled = ParallelCorpus([SentencePair(("<pad>",) + p.source, ("<eos>",) + p.target)
+                              for p in corpus])
+    assert E.word_probe_embeddings(ckpt, spelled, vocab_joint)[1] == \
+        E.word_probe_embeddings(ckpt, corpus, vocab_joint)[1]
 
 
 def test_export_diagnostics_files(trained_toy, tmp_path):

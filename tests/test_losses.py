@@ -210,7 +210,7 @@ def test_barlow_gradient_wrt_projections():
 
 
 def test_barlow_rejects_negative_lambda():
-    with pytest.raises(ValueError, match=">= 0"):
+    with pytest.raises(ConfigError, match=">= 0"):
         L.barlow_twins_loss(T(HADAMARD), T(HADAMARD), lam=-0.1)
     with pytest.raises(ConfigError, match=">= 0"):
         CEConfig(lam=-0.1)
@@ -219,7 +219,7 @@ def test_barlow_rejects_negative_lambda():
 @pytest.mark.parametrize("lam", [math.nan, math.inf])
 def test_barlow_and_ce_config_reject_non_finite_lambda(lam):
     # ``nan < 0`` is false: a sign check alone lets nan through, and inf.
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ConfigError, match="finite"):
         L.barlow_twins_loss(T(HADAMARD), T(HADAMARD), lam=lam)
     with pytest.raises(ConfigError, match="finite"):
         CEConfig(lam=lam)

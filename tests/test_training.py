@@ -533,9 +533,11 @@ def _set_header_field(blob: bytes, keys: tuple[str, ...], value) -> bytes:
 
 
 @pytest.mark.parametrize("field, value", [("heads", 0), ("heads", -4), ("dim", -8),
-                                          ("depth", 0)])
+                                          ("depth", 0), ("max_len", 10**12)])
 def test_checkpoint_header_out_of_bounds_raises_config_error(tmp_path, field, value):
     # The header builds its ModelConfig by the rule that checks the flag.
+    # Unbounded, a max_len of 10**12 loaded, and eval's decode cache then
+    # failed to allocate its buffers with a raw numpy error.
     blob = _set_header_field(_small_checkpoint_bytes(), ("config", field), value)
     with pytest.raises(ConfigError, match=rf"malformed checkpoint header: {field} must be"):
         TR.parse_checkpoint(blob)
